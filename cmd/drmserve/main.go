@@ -76,7 +76,7 @@ func main() {
 
 		// Online model freshness (main role): periodically publish a
 		// versioned delta set to every sparse peer over the
-		// sparse.update.* control plane.
+		// sparse.stage.* row-staging protocol.
 		publishEvery = flag.Duration("publish-every", 0, "main role: publish an identity delta set (freshness load, no score impact) at this interval (0 disables)")
 		publishRows  = flag.Int("publish-rows", 16, "rows republished per table per publish tick")
 
@@ -504,6 +504,21 @@ func serveMain(m *model.Model, plan *sharding.Plan, listen, peers string, sim bo
 		emit("rpc.main.overloads", s.Overloads)
 	})
 
+	// Control-plane calls (resharding, publishing) share one plain
+	// connection per sparse server: the serving callers may be hedged,
+	// and hedging a stage.commit would re-issue it against the same store.
+	ctrl := make(map[string]*rpc.Client)
+	ctrlFor := func(addr string) (*rpc.Client, error) {
+		if cl, ok := ctrl[addr]; ok {
+			return cl, nil
+		}
+		cl, err := rpc.DialPool(addr, nil, 1)
+		if err == nil {
+			ctrl[addr] = cl
+		}
+		return cl, err
+	}
+
 	if opts.rebalanceEvery > 0 && plan.IsDistributed() {
 		mg := &core.Migrator{Engine: eng, Rec: rec, Shards: make(map[int]core.ShardEndpoint)}
 		for i := 1; i <= plan.NumShards; i++ {
@@ -524,10 +539,7 @@ func serveMain(m *model.Model, plan *sharding.Plan, listen, peers string, sim bo
 				srv.Close()
 				return nil, nil, fmt.Errorf("-rebalance-every does not support hedge replicas yet (%s has %d addresses)", name, len(addrs))
 			}
-			// Control-plane calls go over a dedicated plain connection to
-			// the primary: the serving caller may be hedged, and hedging a
-			// migrate.commit would re-issue it against the same store.
-			ctrl, err := rpc.DialPool(addrs[0], nil, 1)
+			ctrl, err := ctrlFor(addrs[0])
 			if err != nil {
 				shutdown()
 				srv.Close()
@@ -570,11 +582,9 @@ func serveMain(m *model.Model, plan *sharding.Plan, listen, peers string, sim bo
 			}
 			// Every address gets its own delta stream: standalone replicas
 			// are separate processes with separate table stores, and a
-			// publish must make all of them fresh. Connections are
-			// dedicated and plain — hedging an update.commit would
-			// re-issue it against a store that already took the version.
+			// publish must make all of them fresh.
 			for _, addr := range addrs {
-				ctrl, err := rpc.DialPool(addr, nil, 1)
+				ctrl, err := ctrlFor(addr)
 				if err != nil {
 					shutdown()
 					srv.Close()

@@ -139,16 +139,13 @@ type Cluster struct {
 	rebuilt []*core.SparseShard
 	shards  []*core.SparseShard
 	clients map[string]rpc.Caller
-	// ctrlClients are plain (never hedged) connections the rebalancer's
-	// control plane uses: hedging a migrate.commit would re-issue it to a
-	// replica sharing the same table store and trip the protocol's
-	// commit-without-begin guard.
-	ctrlClients map[string]*rpc.Client
-	// pubClients are plain (never hedged) connections the publisher's
-	// control plane uses, keyed by server address because freshness
-	// deltas address every distinct table store, not just each shard's
-	// registered primary. Guarded by replicaMu.
-	pubClients map[string]*rpc.Client
+	// ctrl caches the plain (never hedged) control-plane connection to
+	// each sparse server, keyed by address, for the migrator, the
+	// publisher and replica rebuilds: hedging a stage.commit would
+	// re-issue it to a replica sharing the same table store and trip the
+	// protocol's commit-without-begin guard. A server's entry is dropped
+	// when the server dies. Guarded by replicaMu.
+	ctrl map[string]*rpc.Client
 	// shardClosers releases mmap-backed shard-file storage when the
 	// cluster booted from Options.ShardDir; closed after the shards that
 	// serve views into it.
@@ -217,17 +214,16 @@ func Boot(m *model.Model, plan *sharding.Plan, opts Options) (*Cluster, error) {
 	}
 
 	c := &Cluster{
-		Model:       m,
-		Plan:        plan,
-		Registry:    rpc.NewRegistry(),
-		Collector:   trace.NewCollector(),
-		clients:     make(map[string]rpc.Caller),
-		ctrlClients: make(map[string]*rpc.Client),
-		pubClients:  make(map[string]*rpc.Client),
-		Hedged:      make(map[string]*replication.Hedged),
-		plat:        plat,
-		opts:        opts,
-		active:      active,
+		Model:     m,
+		Plan:      plan,
+		Registry:  rpc.NewRegistry(),
+		Collector: trace.NewCollector(),
+		clients:   make(map[string]rpc.Caller),
+		ctrl:      make(map[string]*rpc.Client),
+		Hedged:    make(map[string]*replication.Hedged),
+		plat:      plat,
+		opts:      opts,
+		active:    active,
 	}
 	c.Obs = opts.Obs
 	if c.Obs == nil {
@@ -544,36 +540,47 @@ func (c *Cluster) Migrator() (*core.Migrator, error) {
 		if err != nil {
 			return nil, err
 		}
-		caller, ok := c.ctrlClients[name]
-		if !ok {
-			caller, err = rpc.DialPool(addr, nil, 1)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: dialing control plane for %s: %w", name, err)
-			}
-			c.ctrlClients[name] = caller
+		caller, err := c.ctrlClient(addr)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: dialing control plane for %s: %w", name, err)
 		}
 		mg.Shards[i+1] = core.ShardEndpoint{Service: name, Addr: addr, Caller: caller}
 	}
 	return mg, nil
 }
 
-// dropCtrlClient invalidates the cached control-plane connection for a
-// shard whose primary server changed (killed, revived, replaced): the
-// next Migrator build re-dials the registry's current address. Caller
-// holds replicaMu.
-func (c *Cluster) dropCtrlClient(name string) {
-	if cc, ok := c.ctrlClients[name]; ok {
-		cc.Close()
-		delete(c.ctrlClients, name)
+// ctrlClient returns the cached control-plane connection to the sparse
+// server at addr, dialing it on first use. Caller holds replicaMu.
+func (c *Cluster) ctrlClient(addr string) (*rpc.Client, error) {
+	if cl, ok := c.ctrl[addr]; ok {
+		return cl, nil
 	}
+	cl, err := rpc.DialPool(addr, nil, 1)
+	if err != nil {
+		return nil, err
+	}
+	c.ctrl[addr] = cl
+	return cl, nil
+}
+
+// stopReplica tears down a replica's server and serving client, and
+// drops the server's control-plane connection. Caller holds replicaMu.
+func (c *Cluster) stopReplica(rep *sparseReplica) {
+	addr := rep.srv.Addr()
+	if cl, ok := c.ctrl[addr]; ok {
+		cl.Close()
+		delete(c.ctrl, addr)
+	}
+	rep.srv.Close()
+	rep.client.Close()
+	rep.srv, rep.client = nil, nil
 }
 
 // refreshRegistry keeps a shard's registered (control-plane) address on
 // a live server: when the current registration matches no live replica,
-// the first live one is registered and the cached control client
-// invalidated, so migration stays available through dead windows no
-// matter which replica died. A fully dark shard keeps its stale
-// registration. Caller holds replicaMu.
+// the first live one is registered, so migration stays available through
+// dead windows no matter which replica died. A fully dark shard keeps
+// its stale registration. Caller holds replicaMu.
 func (c *Cluster) refreshRegistry(shard int) {
 	name := c.shards[shard].ShardName
 	cur, err := c.Registry.Lookup(name)
@@ -593,7 +600,6 @@ func (c *Cluster) refreshRegistry(shard int) {
 		return
 	}
 	c.Registry.Register(name, live)
-	c.dropCtrlClient(name)
 }
 
 // Rebalance runs one observe→plan→migrate→cutover pass against the
@@ -660,10 +666,7 @@ func (c *Cluster) Close() {
 	}
 	c.replicaMu.Lock()
 	defer c.replicaMu.Unlock()
-	for _, cl := range c.ctrlClients {
-		cl.Close()
-	}
-	for _, cl := range c.pubClients {
+	for _, cl := range c.ctrl {
 		cl.Close()
 	}
 	for _, reps := range c.replicas {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/replication"
-	"repro/internal/rpc"
 )
 
 // Failure injection and recovery orchestration: the cluster-level hooks
@@ -16,8 +15,8 @@ import (
 // hung server presents and the one health ejection exists for. Recovery
 // is either a revive (a new server over the shard's shared store — the
 // process restarted) or a replace (a fresh, empty store rebuilt
-// byte-identically from a healthy peer over the sparse.snapshot.*
-// surface — the machine was lost).
+// byte-identically from a healthy peer with the row-staging copy loop
+// — the machine was lost).
 
 // replica validates indices and returns the addressed replica. Caller
 // holds replicaMu.
@@ -49,9 +48,7 @@ func (c *Cluster) KillReplica(shard, idx int) error {
 		return fmt.Errorf("cluster: %s replica %d is already dead", core.ServiceName(shard+1), idx)
 	}
 	rep.slot.Swap(replication.Unresponsive())
-	rep.srv.Close()
-	rep.client.Close()
-	rep.srv, rep.client = nil, nil
+	c.stopReplica(rep)
 	// If the control plane was registered at the dead server, move it to
 	// a surviving replica (same shared store) so migration stays
 	// available through the dead window.
@@ -139,16 +136,15 @@ func (c *Cluster) rebuildFromPeer(rep *sparseReplica, shard int) (core.RebuildSt
 	if c.opts.Tier != nil {
 		fresh.SetTier(c.opts.Tier)
 	}
-	// Rebuild over a plain control-plane connection to the peer — the
+	// Rebuild over the peer's plain control-plane connection — the
 	// serving callers may be hedged, and a rebuild must stream from one
 	// consistent peer.
-	ctrl, err := rpc.DialPool(peer.srv.Addr(), nil, 1)
+	ctrl, err := c.ctrlClient(peer.srv.Addr())
 	if err != nil {
 		fresh.Close()
 		return st, fmt.Errorf("cluster: dialing rebuild peer for %s: %w", rep.store.ShardName, err)
 	}
-	st, err = fresh.RebuildFromPeer(ctrl, 0)
-	ctrl.Close()
+	st, err = fresh.RebuildFromPeer(ctrl)
 	if err != nil {
 		fresh.Close()
 		return st, err
@@ -197,9 +193,7 @@ func (c *Cluster) KillSparse(i int) {
 		for _, rep := range reps {
 			if n == i {
 				if rep.srv != nil {
-					rep.srv.Close()
-					rep.client.Close()
-					rep.srv, rep.client = nil, nil
+					c.stopReplica(rep)
 					c.refreshRegistry(shard)
 				}
 				return

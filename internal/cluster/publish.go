@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/rpc"
 )
 
 // Publisher builds the model-freshness driver for this deployment.
@@ -13,8 +12,8 @@ import (
 // endpoints cover one live server per distinct store of every shard
 // (replicas sharing a store receive the delta through it; a replica
 // rebuilt from a peer after failure gets its own stream). Connections
-// are dedicated control-plane clients, never hedged: hedging an
-// update.commit would re-issue it against a store that already consumed
+// come from the cluster's control-client cache, never hedged: hedging a
+// stage.commit would re-issue it against a store that already consumed
 // the version.
 //
 // A killed replica holding a private store gets no stream (nothing
@@ -41,14 +40,9 @@ func (c *Cluster) Publisher() (*core.Publisher, error) {
 			}
 			seen[rep.store] = true
 			addr := rep.srv.Addr()
-			caller, ok := c.pubClients[addr]
-			if !ok {
-				var err error
-				caller, err = rpc.DialPool(addr, nil, 1)
-				if err != nil {
-					return nil, fmt.Errorf("cluster: dialing publish plane for %s replica %d: %w", rep.store.ShardName, rep.idx, err)
-				}
-				c.pubClients[addr] = caller
+			caller, err := c.ctrlClient(addr)
+			if err != nil {
+				return nil, fmt.Errorf("cluster: dialing publish plane for %s replica %d: %w", rep.store.ShardName, rep.idx, err)
 			}
 			eps = append(eps, core.ShardEndpoint{Service: rep.store.ShardName, Addr: addr, Caller: caller})
 		}

@@ -149,9 +149,7 @@ func (c *Cluster) shrinkTo(n int) error {
 			rep := c.replicas[shard][idx]
 			rep.slot.Swap(replication.Unresponsive())
 			if rep.srv != nil {
-				rep.srv.Close() // waits for in-flight handlers
-				rep.client.Close()
-				rep.srv, rep.client = nil, nil
+				c.stopReplica(rep) // waits for in-flight handlers
 			}
 			if rep.store != c.shards[shard] {
 				c.removeRebuilt(rep.store)

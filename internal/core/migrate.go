@@ -25,8 +25,6 @@ type Migrator struct {
 	Shards map[int]ShardEndpoint
 	// Rec allocates call ids and records LayerMigration spans.
 	Rec *trace.Recorder
-	// ChunkRows bounds rows per streamed chunk (default 4096).
-	ChunkRows int
 }
 
 // ShardEndpoint addresses one sparse shard's primary server.
@@ -66,23 +64,13 @@ func (r *RebalanceReport) String() string {
 		r.Plan.MaxLoadBefore, r.Plan.MaxLoadAfter, r.Duration.Round(time.Millisecond))
 }
 
-func (mg *Migrator) call(ep ShardEndpoint, method string, body []byte) ([]byte, error) {
-	resp, err := rpc.SyncCall(ep.Caller, &rpc.Request{
-		Method: method, CallID: mg.Rec.NextID(), Body: body,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: %s %s: %w", ep.Service, method, err)
-	}
-	return resp.Body, nil
-}
-
 // CollectLoad fetches and merges every shard's load summary; reset
 // clears the shards' accumulators so the next window starts fresh.
 func (mg *Migrator) CollectLoad(reset bool) (*sharding.LoadSummary, error) {
 	merged := sharding.NewLoadSummary()
 	body := EncodeLoadRequest(&LoadRequest{Reset: reset})
 	for _, shard := range sortedShardNums(mg.Shards) {
-		out, err := mg.call(mg.Shards[shard], MethodSparseLoad, body)
+		out, err := callShard(mg.Rec, mg.Shards[shard], MethodSparseLoad, body)
 		if err != nil {
 			return nil, err
 		}
@@ -115,18 +103,13 @@ func (mg *Migrator) Rebalance(opts sharding.RebalanceOptions) (*RebalanceReport,
 	}
 
 	// Phase 1: stream every move's rows into destination staging while
-	// both shards keep serving under the current plan. On failure,
-	// best-effort abort the failed move's staging so the destination
-	// does not strand a table-sized buffer (committed moves stay: they
-	// are live tables the next pass can plan around).
+	// both shards keep serving under the current plan. A failed move's
+	// staging is aborted; committed moves stay (they are live tables the
+	// next pass can plan around).
 	for _, mv := range mp.Moves {
 		n, err := mg.streamMove(mv)
 		report.BytesMoved += n
 		if err != nil {
-			if dst, ok := mg.Shards[mv.To]; ok {
-				abort := EncodeMigrateCommit(&MigrateCommit{TableID: int32(mv.TableID), PartIndex: int32(mv.PartIndex)})
-				_, _ = mg.call(dst, MethodMigrateAbort, abort)
-			}
 			return nil, err
 		}
 	}
@@ -147,7 +130,7 @@ func (mg *Migrator) Rebalance(opts sharding.RebalanceOptions) (*RebalanceReport,
 			TableID: int32(mv.TableID), PartIndex: int32(mv.PartIndex),
 			Service: dst.Service, Addr: dst.Addr, Release: true,
 		}
-		if _, err := mg.call(src, MethodMigrateForward, EncodeMigrateForward(fwd)); err != nil {
+		if _, err := callShard(mg.Rec, src, MethodMigrateForward, EncodeMigrateForward(fwd)); err != nil {
 			return nil, err
 		}
 	}
@@ -155,8 +138,9 @@ func (mg *Migrator) Rebalance(opts sharding.RebalanceOptions) (*RebalanceReport,
 	return report, nil
 }
 
-// streamMove copies one placement unit source→destination: probe shape,
-// allocate staging, stream row ranges, commit. Returns bytes streamed.
+// streamMove copies one placement unit source→destination in its own
+// stage session: probe the source's shape, copy the rows, commit.
+// Returns bytes streamed.
 func (mg *Migrator) streamMove(mv sharding.Move) (int64, error) {
 	src, ok := mg.Shards[mv.From]
 	if !ok {
@@ -166,79 +150,24 @@ func (mg *Migrator) streamMove(mv sharding.Move) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: move %v: no endpoint for destination shard %d", mv, mv.To)
 	}
-	chunkRows := mg.ChunkRows
-	if chunkRows <= 0 {
-		chunkRows = 4096
-	}
-	tid, part := int32(mv.TableID), int32(mv.PartIndex)
 	migStart := mg.Rec.Now()
-
-	// Probe the source for the unit's actual shape (partition row counts
-	// depend on the modulus split; the source knows).
-	out, err := mg.call(src, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{TableID: tid, PartIndex: part}))
+	tid, part := int32(mv.TableID), int32(mv.PartIndex)
+	// Partition row counts depend on the modulus split; the source knows.
+	shape, err := readShard(mg.Rec, src, &ReadRequest{TableID: tid, PartIndex: part})
 	if err != nil {
 		return 0, err
 	}
-	shape, err := DecodeMigrateReadResponse(out)
-	if err != nil {
-		return 0, err
-	}
-
-	begin := &MigrateBegin{
-		TableID: tid, PartIndex: part, NumParts: int32(mv.NumParts),
-		Rows: shape.Rows, Dim: shape.Dim, Enc: shape.Enc,
-	}
-	if _, err := mg.call(dst, MethodMigrateBegin, EncodeMigrateBegin(begin)); err != nil {
-		return 0, err
-	}
-	rawStride := 0
-	if shape.Enc != TierEncFP32 {
-		if rawStride, err = tierEncStride(shape.Enc, shape.Dim); err != nil {
-			return 0, fmt.Errorf("core: move %v: %w", mv, err)
-		}
-	}
-
 	var moved int64
-	for row := int32(0); row < shape.Rows; row += int32(chunkRows) {
-		count := int32(chunkRows)
-		if row+count > shape.Rows {
-			count = shape.Rows - row
-		}
-		out, err := mg.call(src, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{
-			TableID: tid, PartIndex: part, RowStart: row, RowCount: count,
-		}))
-		if err != nil {
-			return moved, err
-		}
-		chunk, err := DecodeMigrateReadResponse(out)
-		if err != nil {
-			return moved, err
-		}
-		if chunk.Enc != shape.Enc {
-			return moved, fmt.Errorf("core: move %v: encoding changed %d -> %d mid-stream", mv, shape.Enc, chunk.Enc)
-		}
-		if shape.Enc == TierEncFP32 {
-			if int32(len(chunk.Data)) != count*shape.Dim {
-				return moved, fmt.Errorf("core: move %v: read %d values for %d rows", mv, len(chunk.Data), count)
-			}
-			moved += int64(len(chunk.Data)) * 4
-		} else {
-			if len(chunk.Raw) != int(count)*rawStride {
-				return moved, fmt.Errorf("core: move %v: read %d raw bytes for %d rows", mv, len(chunk.Raw), count)
-			}
-			moved += int64(len(chunk.Raw))
-		}
-		push := &MigrateChunk{
-			TableID: tid, PartIndex: part, RowStart: row,
-			Dim: shape.Dim, Enc: shape.Enc, Data: chunk.Data, Raw: chunk.Raw,
-		}
-		if _, err := mg.call(dst, MethodMigrateChunk, EncodeMigrateChunk(push)); err != nil {
-			return moved, err
-		}
-	}
-
-	if _, err := mg.call(dst, MethodMigrateCommit, EncodeMigrateCommit(&MigrateCommit{TableID: tid, PartIndex: part})); err != nil {
-		return moved, err
+	sink := &remoteStage{ep: dst, rec: mg.Rec}
+	_, err = runStage(sink, 0, func() error {
+		var err error
+		moved, err = copyRows(mg.Rec, src, SnapshotEntry{
+			TableID: tid, PartIndex: part, Rows: shape.Rows, Dim: shape.Dim, Enc: shape.Enc,
+		}, sink)
+		return err
+	})
+	if err != nil {
+		return moved, fmt.Errorf("core: move %v: %w", mv, err)
 	}
 	mg.Rec.Record(trace.Span{
 		Layer: trace.LayerMigration,

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/embedding"
@@ -97,49 +99,83 @@ func hashBags(bags []embedding.Bag, rows int) []embedding.Bag {
 	return out
 }
 
+// readRows reads count rows of a held table from start over sparse.read
+// (count 0 reads only the shape).
+func readRows(t *testing.T, sh *SparseShard, id, part int, start, count int32) *ReadResponse {
+	t.Helper()
+	out, err := sh.Handle(trace.Context{}, MethodSparseRead, EncodeReadRequest(&ReadRequest{
+		TableID: int32(id), PartIndex: int32(part), RowStart: start, RowCount: count,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := DecodeReadResponse(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// beginStage adds a table to a stage session on sh (Session 0 opens one)
+// and returns the session ID.
+func beginStage(t *testing.T, sh *SparseShard, m *StageBegin) uint64 {
+	t.Helper()
+	out, err := sh.Handle(trace.Context{}, MethodStageBegin, EncodeStageBegin(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := DecodeStageRef(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Session == 0 {
+		t.Fatal("stage begin issued session 0")
+	}
+	return ref.Session
+}
+
+// stageRows delivers one row range into a session on sh.
+func stageRows(t *testing.T, sh *SparseShard, m *StageRows) {
+	t.Helper()
+	if _, err := sh.Handle(trace.Context{}, MethodStageRows, EncodeStageRows(m)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// commitStage commits a session on sh at version.
+func commitStage(t *testing.T, sh *SparseShard, session, version uint64) *StageCommitResponse {
+	t.Helper()
+	out, err := sh.Handle(trace.Context{}, MethodStageCommit, EncodeStageCommit(&StageCommit{Session: session, Version: version}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, err := DecodeStageCommitResponse(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ack
+}
+
 // migrateTable drives the full wire protocol for one whole table from
-// shard 1 to shard 2.
-func (f *migrationFixture) migrateTable(t *testing.T, id int) {
+// shard 1 to shard 2 in chunks of the given rows (pick a non-divisor of
+// the row count), carrying the source's cold-tier encoding.
+func (f *migrationFixture) migrateTable(t *testing.T, id int, chunk int32) {
 	t.Helper()
 	src, dst := f.shards[0], f.shards[1]
-	ctx := trace.Context{}
-	probe, err := src.Handle(ctx, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{TableID: int32(id)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shape, err := DecodeMigrateReadResponse(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dst.Handle(ctx, MethodMigrateBegin, EncodeMigrateBegin(&MigrateBegin{
-		TableID: int32(id), NumParts: 1, Rows: shape.Rows, Dim: shape.Dim,
-	})); err != nil {
-		t.Fatal(err)
-	}
-	const chunk = 7 // deliberately not a divisor of Rows
+	shape := readRows(t, src, id, 0, 0, 0)
+	session := beginStage(t, dst, &StageBegin{TableID: int32(id), Rows: shape.Rows, Dim: shape.Dim, Enc: shape.Enc})
 	for row := int32(0); row < shape.Rows; row += chunk {
-		count := int32(chunk)
-		if row+count > shape.Rows {
-			count = shape.Rows - row
+		rr := readRows(t, src, id, 0, row, min(chunk, shape.Rows-row))
+		if rr.Enc != shape.Enc {
+			t.Fatalf("encoding changed mid-stream: %d -> %d", shape.Enc, rr.Enc)
 		}
-		out, err := src.Handle(ctx, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{
-			TableID: int32(id), RowStart: row, RowCount: count,
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rr, err := DecodeMigrateReadResponse(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dst.Handle(ctx, MethodMigrateChunk, EncodeMigrateChunk(&MigrateChunk{
-			TableID: int32(id), RowStart: row, Dim: shape.Dim, Data: rr.Data,
-		})); err != nil {
-			t.Fatal(err)
-		}
+		stageRows(t, dst, &StageRows{
+			Session: session, TableID: int32(id), RowStart: row, Dim: shape.Dim, Enc: shape.Enc,
+			Data: rr.Data, Raw: rr.Raw,
+		})
 	}
-	if _, err := dst.Handle(ctx, MethodMigrateCommit, EncodeMigrateCommit(&MigrateCommit{TableID: int32(id)})); err != nil {
-		t.Fatal(err)
+	if ack := commitStage(t, dst, session, 0); ack.Tables != 1 || ack.Version != 0 {
+		t.Fatalf("migration commit ack %+v, want 1 table at version 0", ack)
 	}
 }
 
@@ -160,7 +196,7 @@ func TestMigrationMidCutoverIdentity(t *testing.T) {
 	}
 
 	epoch0 := dst.Epoch()
-	f.migrateTable(t, id)
+	f.migrateTable(t, id, 7)
 	if dst.Epoch() <= epoch0 {
 		t.Fatal("commit must advance the destination epoch")
 	}
@@ -215,7 +251,7 @@ func TestMigrationForwardOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.migrateTable(t, id)
+	f.migrateTable(t, id, 7)
 	out, err := src.Handle(ctx, MethodMigrateForward, EncodeMigrateForward(&MigrateForward{
 		TableID: int32(id), Service: "sparse2", Addr: f.srvs[1].Addr(), Release: true,
 	}))
@@ -240,21 +276,33 @@ func TestMigrationProtocolErrors(t *testing.T) {
 	src, dst := f.shards[0], f.shards[1]
 	id := f.plan.Shards[0].Tables[0]
 	ctx := trace.Context{}
-
-	if _, err := dst.Handle(ctx, MethodMigrateChunk, EncodeMigrateChunk(&MigrateChunk{
-		TableID: int32(id), Dim: 4, Data: make([]float32, 4),
-	})); err == nil || !strings.Contains(err.Error(), "without begin") {
-		t.Fatalf("chunk without begin: %v", err)
+	commit := func(session uint64) error {
+		_, err := dst.Handle(ctx, MethodStageCommit, EncodeStageCommit(&StageCommit{Session: session}))
+		return err
 	}
-	if _, err := dst.Handle(ctx, MethodMigrateCommit, EncodeMigrateCommit(&MigrateCommit{TableID: int32(id)})); err == nil || !strings.Contains(err.Error(), "without begin") {
+
+	if _, err := dst.Handle(ctx, MethodStageRows, EncodeStageRows(&StageRows{
+		Session: 1, TableID: int32(id), Dim: 4, Data: make([]float32, 4),
+	})); err == nil || !strings.Contains(err.Error(), "without begin") {
+		t.Fatalf("rows without begin: %v", err)
+	}
+	if err := commit(1); err == nil || !strings.Contains(err.Error(), "without begin") {
 		t.Fatalf("commit without begin: %v", err)
 	}
-	if _, err := src.Handle(ctx, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{
+	if _, err := dst.Handle(ctx, MethodStageBegin, EncodeStageBegin(&StageBegin{
+		Session: 99, TableID: int32(id), Rows: 8, Dim: 4,
+	})); err == nil || !strings.Contains(err.Error(), "unknown session") {
+		t.Fatalf("begin into an unopened session: %v", err)
+	}
+	if _, err := dst.Handle(ctx, MethodStageBegin, EncodeStageBegin(&StageBegin{TableID: int32(id), Dim: 4})); err == nil {
+		t.Fatal("empty-shape begin must fail")
+	}
+	if _, err := src.Handle(ctx, MethodSparseRead, EncodeReadRequest(&ReadRequest{
 		TableID: int32(id), RowStart: 1 << 20, RowCount: 8,
 	})); err == nil {
 		t.Fatal("out-of-range read must fail")
 	}
-	if _, err := src.Handle(ctx, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{TableID: 9999})); err == nil {
+	if _, err := src.Handle(ctx, MethodSparseRead, EncodeReadRequest(&ReadRequest{TableID: 9999})); err == nil {
 		t.Fatal("read of unheld table must fail")
 	}
 	if _, err := src.Handle(ctx, "sparse.nope", nil); err == nil || !strings.Contains(err.Error(), "unknown method") {
@@ -263,20 +311,111 @@ func TestMigrationProtocolErrors(t *testing.T) {
 
 	// Abort drops staged storage: a commit after begin+abort must fail
 	// exactly like a commit that was never begun, and aborting an
-	// unknown key is a no-op.
-	if _, err := dst.Handle(ctx, MethodMigrateAbort, EncodeMigrateCommit(&MigrateCommit{TableID: int32(id)})); err != nil {
-		t.Fatalf("abort of unknown key must be a no-op: %v", err)
+	// unknown session is a no-op.
+	if _, err := dst.Handle(ctx, MethodStageAbort, EncodeStageRef(&StageRef{Session: 12345})); err != nil {
+		t.Fatalf("abort of unknown session must be a no-op: %v", err)
 	}
-	if _, err := dst.Handle(ctx, MethodMigrateBegin, EncodeMigrateBegin(&MigrateBegin{
-		TableID: int32(id), NumParts: 1, Rows: 8, Dim: 4,
-	})); err != nil {
+	session := beginStage(t, dst, &StageBegin{TableID: int32(id), Rows: 8, Dim: 4})
+	if _, err := dst.Handle(ctx, MethodStageAbort, EncodeStageRef(&StageRef{Session: session})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.Handle(ctx, MethodMigrateAbort, EncodeMigrateCommit(&MigrateCommit{TableID: int32(id)})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dst.Handle(ctx, MethodMigrateCommit, EncodeMigrateCommit(&MigrateCommit{TableID: int32(id)})); err == nil || !strings.Contains(err.Error(), "without begin") {
+	if err := commit(session); err == nil || !strings.Contains(err.Error(), "without begin") {
 		t.Fatalf("commit after abort: %v", err)
+	}
+}
+
+// TestStageSessionsIsolated: sessions open side by side on one shard —
+// an empty-staged migration and a clone-staged delta — get distinct IDs,
+// and each commit installs only its own tables.
+func TestStageSessionsIsolated(t *testing.T) {
+	f := newMigrationFixture(t)
+	src, dst := f.shards[0], f.shards[1]
+	moved := f.plan.Shards[0].Tables[0]
+	heldID := f.plan.Shards[1].Tables[0]
+	shape := readRows(t, src, moved, 0, 0, 0)
+	full := readRows(t, src, moved, 0, 0, shape.Rows)
+	held := readRows(t, dst, heldID, 0, 0, 0)
+
+	mig := beginStage(t, dst, &StageBegin{TableID: int32(moved), Rows: shape.Rows, Dim: shape.Dim, Enc: shape.Enc})
+	pub := beginStage(t, dst, &StageBegin{TableID: int32(heldID), Rows: held.Rows, Dim: held.Dim, Enc: held.Enc, Clone: true})
+	if mig == pub {
+		t.Fatalf("concurrent sessions share ID %d", mig)
+	}
+	// Rows addressed to the wrong session are refused.
+	if _, err := dst.Handle(trace.Context{}, MethodStageRows, EncodeStageRows(&StageRows{
+		Session: pub, TableID: int32(moved), Dim: shape.Dim, Data: full.Data[:shape.Dim],
+	})); err == nil || !strings.Contains(err.Error(), "without begin") {
+		t.Fatalf("rows for a table of another session: %v", err)
+	}
+	stageRows(t, dst, &StageRows{Session: mig, TableID: int32(moved), Dim: shape.Dim, Enc: shape.Enc, Data: full.Data})
+
+	tables := dst.NumTables()
+	if ack := commitStage(t, dst, pub, 4); ack.Tables != 1 || ack.Version != 4 {
+		t.Fatalf("publish commit ack %+v, want 1 table at version 4", ack)
+	}
+	if dst.NumTables() != tables {
+		t.Fatalf("publish commit installed the migration's table: %d tables, want %d", dst.NumTables(), tables)
+	}
+	if ack := commitStage(t, dst, mig, 0); ack.Tables != 1 || ack.Version != 4 {
+		t.Fatalf("migration commit ack %+v, want 1 table, version left at 4", ack)
+	}
+	if dst.NumTables() != tables+1 {
+		t.Fatalf("migration commit: %d tables, want %d", dst.NumTables(), tables+1)
+	}
+	got := readRows(t, dst, moved, 0, 0, shape.Rows)
+	if !bytes.Equal(float32Bits(got.Data), float32Bits(full.Data)) {
+		t.Fatal("migrated table differs from the source")
+	}
+
+	// Orchestrators racing on one shard — migration-style sessions that abort,
+	// and a publish-style loop committing clones — never share an ID.
+	rec := trace.NewRecorder("orchestrator", 1<<12)
+	ep := ShardEndpoint{Service: dst.ShardName, Caller: &localCaller{h: dst}}
+	var mu sync.Mutex
+	seen := make(map[uint64]bool)
+	claim := func(session uint64) {
+		mu.Lock()
+		defer mu.Unlock()
+		if seen[session] {
+			t.Errorf("session %d issued twice", session)
+		}
+		seen[session] = true
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				sink := &remoteStage{ep: ep, rec: rec}
+				if w == 0 {
+					_, err := runStage(sink, uint64(5+i), func() error {
+						return sink.begin(&StageBegin{TableID: int32(heldID), Rows: held.Rows, Dim: held.Dim, Enc: held.Enc, Clone: true})
+					})
+					if err != nil {
+						t.Error(err)
+					}
+				} else {
+					_, err := runStage(sink, 0, func() error {
+						if err := sink.begin(&StageBegin{TableID: int32(1000 + w), Rows: 2, Dim: 2}); err != nil {
+							return err
+						}
+						return errors.New("stream failed")
+					})
+					if err == nil {
+						t.Error("failed stream committed")
+					}
+				}
+				claim(sink.session)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if len(dst.staging) != 0 {
+		t.Fatalf("%d staging sessions left after commits and aborts", len(dst.staging))
+	}
+	if dst.ModelVersion() != 14 {
+		t.Fatalf("model version %d, want 14", dst.ModelVersion())
 	}
 }
 

@@ -1,27 +1,22 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/sharding"
 )
 
 // Wire codecs for the online-resharding control plane: load-summary
-// collection and the live row-range migration protocol. Same minimal
-// little-endian framing as the serving codecs in codec.go — the control
-// plane rides the ordinary RPC channel, so a standalone deployment
-// (drmserve processes) reshards exactly like the in-process cluster.
+// collection and forward installation (rows move over the staging
+// protocol in stagecodec.go). Same minimal little-endian framing as the
+// serving codecs in codec.go — the control plane rides the ordinary RPC
+// channel, so a standalone deployment (drmserve processes) reshards
+// exactly like the in-process cluster.
 
-// Migration control-plane methods served by SparseShard.Handle.
+// Serving and resharding methods served by SparseShard.Handle.
 const (
 	MethodSparseRun      = "sparse.run"
 	MethodSparseLoad     = "sparse.load"
-	MethodMigrateBegin   = "sparse.migrate.begin"
-	MethodMigrateRead    = "sparse.migrate.read"
-	MethodMigrateChunk   = "sparse.migrate.chunk"
-	MethodMigrateCommit  = "sparse.migrate.commit"
-	MethodMigrateAbort   = "sparse.migrate.abort"
 	MethodMigrateForward = "sparse.migrate.forward"
 )
 
@@ -30,62 +25,6 @@ const (
 // fresh.
 type LoadRequest struct {
 	Reset bool
-}
-
-// MigrateBegin tells the destination to allocate staging storage for an
-// incoming table (or row-partition) of Rows×Dim in the source's
-// cold-tier encoding (TierEnc*): staging matches the wire encoding so
-// the committed table is bit-identical to the source's.
-type MigrateBegin struct {
-	TableID   int32
-	PartIndex int32
-	NumParts  int32
-	Rows      int32
-	Dim       int32
-	Enc       int32
-}
-
-// MigrateRead asks the source for RowCount rows of a held table starting
-// at RowStart. RowCount 0 probes shape only.
-type MigrateRead struct {
-	TableID   int32
-	PartIndex int32
-	RowStart  int32
-	RowCount  int32
-}
-
-// MigrateReadResponse returns the requested row range plus the table's
-// full shape and cold-tier encoding so the orchestrator can size the
-// stream (and allocate matching staging) without a separate metadata
-// call. Fp32 tables travel in Data; encoded tiers travel verbatim in Raw
-// (RowCount rows of the encoding's wire stride).
-type MigrateReadResponse struct {
-	Rows int32 // total rows held at the source
-	Dim  int32
-	Enc  int32
-	Data []float32 // fp32: RowCount×Dim values starting at RowStart
-	Raw  []byte    // encoded tiers: RowCount rows of encoded bytes
-}
-
-// MigrateChunk delivers one row range into the destination's staging
-// table, in the encoding MigrateBegin declared.
-type MigrateChunk struct {
-	TableID   int32
-	PartIndex int32
-	RowStart  int32
-	Dim       int32
-	Enc       int32
-	Data      []float32
-	Raw       []byte
-}
-
-// MigrateCommit activates the staged table at the destination; the
-// response carries the destination's new forwarding epoch. The same
-// message body addresses sparse.migrate.abort, which discards the
-// staged storage of a failed move instead.
-type MigrateCommit struct {
-	TableID   int32
-	PartIndex int32
 }
 
 // MigrateForward tells the source the destination is authoritative: the
@@ -184,156 +123,6 @@ func DecodeLoadSummary(b []byte) (*sharding.LoadSummary, error) {
 		})
 	}
 	return out, nil
-}
-
-// EncodeMigrateBegin serializes a staging-allocation request.
-func EncodeMigrateBegin(m *MigrateBegin) []byte {
-	var w buffer
-	w.u32(uint32(m.TableID))
-	w.u32(uint32(m.PartIndex))
-	w.u32(uint32(m.NumParts))
-	w.u32(uint32(m.Rows))
-	w.u32(uint32(m.Dim))
-	w.u32(uint32(m.Enc))
-	return w.b
-}
-
-// DecodeMigrateBegin parses a staging-allocation request.
-func DecodeMigrateBegin(b []byte) (*MigrateBegin, error) {
-	r := reader{b: b}
-	out := &MigrateBegin{}
-	for _, dst := range []*int32{&out.TableID, &out.PartIndex, &out.NumParts, &out.Rows, &out.Dim, &out.Enc} {
-		v, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		*dst = int32(v)
-	}
-	return out, nil
-}
-
-// EncodeMigrateRead serializes a row-range read request.
-func EncodeMigrateRead(m *MigrateRead) []byte {
-	var w buffer
-	w.u32(uint32(m.TableID))
-	w.u32(uint32(m.PartIndex))
-	w.u32(uint32(m.RowStart))
-	w.u32(uint32(m.RowCount))
-	return w.b
-}
-
-// DecodeMigrateRead parses a row-range read request.
-func DecodeMigrateRead(b []byte) (*MigrateRead, error) {
-	r := reader{b: b}
-	out := &MigrateRead{}
-	for _, dst := range []*int32{&out.TableID, &out.PartIndex, &out.RowStart, &out.RowCount} {
-		v, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		*dst = int32(v)
-	}
-	return out, nil
-}
-
-// EncodeMigrateReadResponse serializes a row-range read response.
-func EncodeMigrateReadResponse(m *MigrateReadResponse) []byte {
-	var w buffer
-	w.u32(uint32(m.Rows))
-	w.u32(uint32(m.Dim))
-	w.u32(uint32(m.Enc))
-	w.f32s(m.Data)
-	w.bytes(m.Raw)
-	return w.b
-}
-
-// DecodeMigrateReadResponse parses a row-range read response.
-func DecodeMigrateReadResponse(b []byte) (*MigrateReadResponse, error) {
-	r := reader{b: b}
-	out := &MigrateReadResponse{}
-	for _, dst := range []*int32{&out.Rows, &out.Dim, &out.Enc} {
-		v, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		*dst = int32(v)
-	}
-	var err error
-	if out.Data, err = r.f32s(); err != nil {
-		return nil, err
-	}
-	if out.Raw, err = r.bytes(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// EncodeMigrateChunk serializes a row-range delivery.
-func EncodeMigrateChunk(m *MigrateChunk) []byte {
-	var w buffer
-	w.u32(uint32(m.TableID))
-	w.u32(uint32(m.PartIndex))
-	w.u32(uint32(m.RowStart))
-	w.u32(uint32(m.Dim))
-	w.u32(uint32(m.Enc))
-	w.f32s(m.Data)
-	w.bytes(m.Raw)
-	return w.b
-}
-
-// DecodeMigrateChunk parses a row-range delivery.
-func DecodeMigrateChunk(b []byte) (*MigrateChunk, error) {
-	r := reader{b: b}
-	out := &MigrateChunk{}
-	for _, dst := range []*int32{&out.TableID, &out.PartIndex, &out.RowStart, &out.Dim, &out.Enc} {
-		v, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		*dst = int32(v)
-	}
-	var err error
-	if out.Data, err = r.f32s(); err != nil {
-		return nil, err
-	}
-	if out.Raw, err = r.bytes(); err != nil {
-		return nil, err
-	}
-	if out.Enc == TierEncFP32 && out.Dim > 0 && int32(len(out.Data))%out.Dim != 0 {
-		return nil, fmt.Errorf("core: migrate chunk has %d values for dim %d", len(out.Data), out.Dim)
-	}
-	if out.Enc != TierEncFP32 && out.Dim > 0 {
-		stride, serr := tierEncStride(out.Enc, out.Dim)
-		if serr != nil {
-			return nil, serr
-		}
-		if len(out.Raw)%stride != 0 {
-			return nil, fmt.Errorf("core: migrate chunk has %d raw bytes for row stride %d", len(out.Raw), stride)
-		}
-	}
-	return out, nil
-}
-
-// EncodeMigrateCommit serializes a cutover request.
-func EncodeMigrateCommit(m *MigrateCommit) []byte {
-	var w buffer
-	w.u32(uint32(m.TableID))
-	w.u32(uint32(m.PartIndex))
-	return w.b
-}
-
-// DecodeMigrateCommit parses a cutover request.
-func DecodeMigrateCommit(b []byte) (*MigrateCommit, error) {
-	r := reader{b: b}
-	tid, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	part, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	return &MigrateCommit{TableID: int32(tid), PartIndex: int32(part)}, nil
 }
 
 // EncodeMigrateForward serializes a forward-installation request.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/quant"
-	"repro/internal/rpc"
 	"repro/internal/sharding"
 	"repro/internal/trace"
 )
@@ -17,26 +16,24 @@ import (
 // online continuation of the paper's publishing flow (Section III-A1:
 // parameters "serialized from parameter servers to the respective
 // inference shard"). Embedding row deltas route through the current
-// sharding plan to every endpoint of every affected shard over the
-// sparse.update.* protocol; dense-weight swaps go to the co-located
-// engine. Delta rows travel as fp32 and are re-encoded per-row into each
-// table's cold-tier precision — row-wise quantization is independent per
-// row, so a republished row is bit-identical to the same row in a full
-// export.
+// sharding plan to every endpoint of every affected shard, one
+// clone-staged sparse.stage.* session per endpoint; dense-weight swaps
+// go to the co-located engine. Delta rows travel as fp32 and are
+// re-encoded per-row into each table's cold-tier precision — row-wise
+// quantization is independent per row, so a republished row is
+// bit-identical to the same row in a full export.
 type Publisher struct {
 	// Engine is the main shard's engine: its live plan routes deltas and
 	// its dense parameters are swapped in-process.
 	Engine *Engine
 	// Shards maps 1-based shard numbers to every endpoint that must
 	// receive deltas (every replica store's server). Endpoints must be
-	// plain control-plane connections, never hedged: hedging an
-	// update.commit would re-issue it against a store that already
+	// plain control-plane connections, never hedged: hedging a
+	// stage.commit would re-issue it against a store that already
 	// consumed the version.
 	Shards map[int][]ShardEndpoint
 	// Rec allocates call IDs for the control-plane RPCs.
 	Rec *trace.Recorder
-	// ChunkRows bounds rows per update.rows call (default 4096).
-	ChunkRows int
 	// Obs, when non-nil, receives publish gauges: publish.version (high
 	// water), publish.count, publish.rows, publish.bytes.
 	Obs *obs.Registry
@@ -201,17 +198,7 @@ func encodeDeltaRows(enc int32, rows []float32, n, dim int) (data []float32, raw
 	case TierEncInt4:
 		return nil, quant.QuantizeRows(rows, n, dim, quant.Bits4).AppendRowRange(nil, 0, n), nil
 	}
-	return nil, nil, fmt.Errorf("core: publish: unknown encoding %d", enc)
-}
-
-func (p *Publisher) call(ep ShardEndpoint, method string, body []byte) ([]byte, error) {
-	resp, err := rpc.SyncCall(ep.Caller, &rpc.Request{
-		Method: method, CallID: p.Rec.NextID(), Body: body,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: publish %s %s: %w", ep.Service, method, err)
-	}
-	return resp.Body, nil
+	return nil, nil, fmt.Errorf("unknown encoding %d", enc)
 }
 
 // Publish streams one delta set to every endpoint of every affected
@@ -240,8 +227,6 @@ func (p *Publisher) Publish(ds *DeltaSet) (*PublishReport, error) {
 		for _, ep := range eps {
 			ev, err := p.publishToEndpoint(ep, shard, ds.Version, byShard[shard])
 			if err != nil {
-				abort := EncodeUpdateCommit(&UpdateCommit{Version: ds.Version})
-				_, _ = p.call(ep, MethodUpdateAbort, abort)
 				return nil, err
 			}
 			report.Events = append(report.Events, *ev)
@@ -274,69 +259,56 @@ func (p *Publisher) unitsForCurrentPlan(ds *DeltaSet) (map[int][]*deltaUnit, err
 	return planUnitsFor(p.Engine.Plan(), ds.Tables)
 }
 
-// publishToEndpoint streams every unit's delta rows into one endpoint's
-// version staging and commits.
+// publishToEndpoint streams every unit's delta rows into one stage
+// session at the endpoint and commits it at the version.
 func (p *Publisher) publishToEndpoint(ep ShardEndpoint, shard int, version uint64, units []*deltaUnit) (*PublishEvent, error) {
 	evStart := time.Now() //lint:allow determinism event duration is freshness-timeline telemetry
 	ev := &PublishEvent{Version: version, Shard: shard, Service: ep.Service, Addr: ep.Addr}
-	chunkRows := p.ChunkRows
-	if chunkRows <= 0 {
-		chunkRows = 4096
-	}
-	for _, u := range units {
-		// Probe the endpoint's actual shape and encoding: replicas may
-		// serve rebuilt stores, so trust each endpoint's own report.
-		out, err := p.call(ep, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{
-			TableID: int32(u.tableID), PartIndex: int32(u.partIndex),
-		}))
-		if err != nil {
-			return nil, err
+	sink := &remoteStage{ep: ep, rec: p.Rec}
+	ack, err := runStage(sink, version, func() error {
+		for _, u := range units {
+			if err := p.stageUnit(sink, u, ev); err != nil {
+				return err
+			}
 		}
-		shape, err := DecodeMigrateReadResponse(out)
-		if err != nil {
-			return nil, err
-		}
-		if int(shape.Dim) != u.dim {
-			return nil, fmt.Errorf("core: publish: table %d part %d dim %d at %s, delta has %d",
-				u.tableID, u.partIndex, shape.Dim, ep.Service, u.dim)
-		}
-		if last := u.localRows[len(u.localRows)-1]; last >= shape.Rows {
-			return nil, fmt.Errorf("core: publish: table %d part %d row %d outside %d rows at %s",
-				u.tableID, u.partIndex, last, shape.Rows, ep.Service)
-		}
-		begin := &UpdateBegin{
-			Version: version, TableID: int32(u.tableID), PartIndex: int32(u.partIndex),
-			Rows: shape.Rows, Dim: shape.Dim, Enc: shape.Enc,
-		}
-		if _, err := p.call(ep, MethodUpdateBegin, EncodeUpdateBegin(begin)); err != nil {
-			return nil, err
-		}
-		if err := p.streamUnit(ep, version, u, shape.Enc, chunkRows, ev); err != nil {
-			return nil, err
-		}
-		ev.Tables++
-	}
-	out, err := p.call(ep, MethodUpdateCommit, EncodeUpdateCommit(&UpdateCommit{Version: version}))
+		return nil
+	})
 	if err != nil {
-		return nil, err
-	}
-	ack, err := DecodeUpdateCommitResponse(out)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: publish: %w", err)
 	}
 	ev.Epoch = ack.Epoch
 	ev.Duration = time.Since(evStart) //lint:allow determinism event duration is freshness-timeline telemetry
 	return ev, nil
 }
 
-// streamUnit sends one unit's delta rows as runs of consecutive local
-// rows, re-encoded into the endpoint's cold-tier encoding.
-func (p *Publisher) streamUnit(ep ShardEndpoint, version uint64, u *deltaUnit, enc int32, chunkRows int, ev *PublishEvent) error {
-	i := 0
-	for i < len(u.localRows) {
+// stageUnit clones one unit's table into the session and overwrites its
+// delta rows, sent as runs of consecutive local rows re-encoded into the
+// endpoint's cold-tier encoding.
+func (p *Publisher) stageUnit(sink *remoteStage, u *deltaUnit, ev *PublishEvent) error {
+	tid, part := int32(u.tableID), int32(u.partIndex)
+	// Probe the endpoint's actual shape and encoding: replicas may serve
+	// rebuilt stores, so trust each endpoint's own report.
+	shape, err := readShard(p.Rec, sink.ep, &ReadRequest{TableID: tid, PartIndex: part})
+	if err != nil {
+		return err
+	}
+	if int(shape.Dim) != u.dim {
+		return fmt.Errorf("table %d part %d dim %d at %s, delta has %d",
+			u.tableID, u.partIndex, shape.Dim, sink.ep.Service, u.dim)
+	}
+	if last := u.localRows[len(u.localRows)-1]; last >= shape.Rows {
+		return fmt.Errorf("table %d part %d row %d outside %d rows at %s",
+			u.tableID, u.partIndex, last, shape.Rows, sink.ep.Service)
+	}
+	if err := sink.begin(&StageBegin{
+		TableID: tid, PartIndex: part, Rows: shape.Rows, Dim: shape.Dim, Enc: shape.Enc, Clone: true,
+	}); err != nil {
+		return err
+	}
+	for i := 0; i < len(u.localRows); {
 		// Extend the run while local rows stay consecutive.
 		j := i + 1
-		for j < len(u.localRows) && j-i < chunkRows && u.localRows[j] == u.localRows[j-1]+1 {
+		for j < len(u.localRows) && j-i < stageChunkRows && u.localRows[j] == u.localRows[j-1]+1 {
 			j++
 		}
 		n := j - i
@@ -345,24 +317,20 @@ func (p *Publisher) streamUnit(ep ShardEndpoint, version uint64, u *deltaUnit, e
 			src := int(u.srcRows[i+k]) * u.dim
 			copy(buf[k*u.dim:(k+1)*u.dim], u.data[src:src+u.dim])
 		}
-		data, raw, err := encodeDeltaRows(enc, buf, n, u.dim)
+		data, raw, err := encodeDeltaRows(shape.Enc, buf, n, u.dim)
 		if err != nil {
 			return err
 		}
-		chunk := &UpdateRows{
-			Version: version,
-			Chunk: MigrateChunk{
-				TableID: int32(u.tableID), PartIndex: int32(u.partIndex),
-				RowStart: u.localRows[i], Dim: int32(u.dim), Enc: enc,
-				Data: data, Raw: raw,
-			},
-		}
-		if _, err := p.call(ep, MethodUpdateRows, EncodeUpdateRows(chunk)); err != nil {
+		if err := sink.rows(&StageRows{
+			TableID: tid, PartIndex: part, RowStart: u.localRows[i],
+			Dim: int32(u.dim), Enc: shape.Enc, Data: data, Raw: raw,
+		}); err != nil {
 			return err
 		}
 		ev.RowsSent += n
 		ev.Bytes += int64(4*len(data) + len(raw))
 		i = j
 	}
+	ev.Tables++
 	return nil
 }

@@ -33,7 +33,7 @@ func publisherFixture(t *testing.T) (*migrationFixture, *Engine, *Publisher, *ob
 	}
 	reg := obs.NewRegistry()
 	pub := &Publisher{
-		Engine: eng, Rec: rec, Obs: reg, ChunkRows: 2,
+		Engine: eng, Rec: rec, Obs: reg,
 		Shards: map[int][]ShardEndpoint{
 			1: {{Service: f.shards[0].ShardName, Addr: f.srvs[0].Addr(), Caller: f.calls[0]}},
 			2: {{Service: f.shards[1].ShardName, Addr: f.srvs[1].Addr(), Caller: f.calls[1]}},
@@ -65,6 +65,7 @@ func modelRows(m *model.Model, id int, rows []int32) []float32 {
 // leave engine scores byte-identical.
 func TestPublisherStreamsAndCommits(t *testing.T) {
 	f, eng, pub, reg := publisherFixture(t)
+	withChunkRows(t, 2)
 
 	gen := workload.NewGenerator(f.m.Config, 7)
 	req := FromWorkload(gen.Next())
@@ -77,7 +78,7 @@ func TestPublisherStreamsAndCommits(t *testing.T) {
 	for si := range f.plan.Shards {
 		id := f.plan.Shards[si].Tables[0]
 		// Non-consecutive logical rows split the stream into several
-		// update.rows runs under ChunkRows=2.
+		// stage.rows runs under a 2-row chunk.
 		rows := []int32{0, 1, 2, 4, int32(f.m.Config.Tables[id].Rows - 1)}
 		ds.Tables = append(ds.Tables, TableDelta{TableID: id, Rows: rows, Data: modelRows(f.m, id, rows)})
 	}

@@ -10,24 +10,18 @@ import (
 	"repro/internal/trace"
 )
 
-// Sparse-shard snapshot/rebuild: the fault-tolerance counterpart of the
-// live-migration protocol. A replacement replica (fresh process, empty
-// table store) rebuilds its entire table set from any healthy peer of
-// the same shard — sparse-shard storage is immutable (Section III-A1),
-// so every replica's copy is byte-identical and any of them can seed a
-// rebuild. The row stream reuses the encoding-aware migration codecs:
-// fp16/int8 cold tiers travel as verbatim encoded bytes, fp32 as float
-// payloads, and the rebuilt tables are bit-identical to the peer's. The
-// rebuilt copies install through the same tierWrap path as a migration
-// commit, so they rejoin the rotation cold-cached — nothing of the
-// peer's hot-row cache leaks into the replacement.
-const (
-	MethodSnapshotList = "sparse.snapshot.list"
-	// MethodSnapshotRead shares the MigrateRead/MigrateReadResponse
-	// codecs (and the handler) with the migration protocol: a snapshot
-	// read is a migration read that happens to span the whole table set.
-	MethodSnapshotRead = "sparse.snapshot.read"
-)
+// Sparse-shard snapshot/rebuild: the fault-tolerance counterpart of
+// online resharding. A replacement replica (fresh process, empty table
+// store) rebuilds its entire table set from any healthy peer of the same
+// shard — sparse-shard storage is immutable (Section III-A1), so every
+// replica's copy is byte-identical and any of them can seed a rebuild.
+// Rows move with the migrator's copy loop (sparse.read from the peer,
+// landing in the shard's own staging): fp16/int8 cold tiers travel as
+// verbatim encoded bytes, fp32 as float payloads, and the rebuilt tables
+// are bit-identical to the peer's. They install through the same commit
+// as a migration, so they rejoin the rotation cold-cached — nothing of
+// the peer's hot-row cache leaks into the replacement.
+const MethodSnapshotList = "sparse.snapshot.list"
 
 // SnapshotEntry describes one table (or row-partition) a shard holds:
 // enough for a peer to allocate matching staging and size the stream.
@@ -69,12 +63,8 @@ func DecodeSnapshotList(b []byte) (*SnapshotList, error) {
 	out := &SnapshotList{}
 	for i := uint32(0); i < n; i++ {
 		var e SnapshotEntry
-		for _, dst := range []*int32{&e.TableID, &e.PartIndex, &e.Rows, &e.Dim, &e.Enc} {
-			v, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			*dst = int32(v)
+		if err := decodeInt32s(&r, &e.TableID, &e.PartIndex, &e.Rows, &e.Dim, &e.Enc); err != nil {
+			return nil, err
 		}
 		out.Entries = append(out.Entries, e)
 	}
@@ -96,12 +86,7 @@ func (s *SparseShard) handleSnapshotList(body []byte) ([]byte, error) {
 		tabs = append(tabs, manifestEntry{key: key, tab: tab})
 	}
 	s.mu.RUnlock()
-	sort.Slice(tabs, func(i, j int) bool {
-		if tabs[i].key.id != tabs[j].key.id {
-			return tabs[i].key.id < tabs[j].key.id
-		}
-		return tabs[i].key.part < tabs[j].key.part
-	})
+	sort.Slice(tabs, func(i, j int) bool { return tabs[i].key.less(tabs[j].key) })
 	out := &SnapshotList{Entries: make([]SnapshotEntry, 0, len(tabs))}
 	for _, e := range tabs {
 		cold := coldOf(e.tab)
@@ -135,15 +120,10 @@ func (st RebuildStats) String() string {
 
 // RebuildFromPeer streams every table a healthy peer holds into this
 // shard: fetch the manifest, stage each table in the peer's native
-// encoding, and install — the replacement-replica recovery path. The
-// shard may be serving while it rebuilds (tables become visible one by
-// one, each bumping the epoch), though the expected caller holds the
-// replica out of rotation until the rebuild returns.
-func (s *SparseShard) RebuildFromPeer(peer rpc.Caller, chunkRows int) (RebuildStats, error) {
+// encoding, and install the whole set at one epoch — the
+// replacement-replica recovery path. On failure nothing is installed.
+func (s *SparseShard) RebuildFromPeer(peer rpc.Caller) (RebuildStats, error) {
 	start := time.Now() //lint:allow determinism rebuild wall time is operator telemetry
-	if chunkRows <= 0 {
-		chunkRows = 4096
-	}
 	var st RebuildStats
 	resp, err := rpc.SyncCall(peer, &rpc.Request{Method: MethodSnapshotList, CallID: s.rec.NextID()})
 	if err != nil {
@@ -153,14 +133,25 @@ func (s *SparseShard) RebuildFromPeer(peer rpc.Caller, chunkRows int) (RebuildSt
 	if err != nil {
 		return st, fmt.Errorf("core: %s: snapshot list: %w", s.ShardName, err)
 	}
+	if len(list.Entries) == 0 {
+		return st, nil
+	}
 	rebuildStart := s.rec.Now()
-	for _, e := range list.Entries {
-		n, err := s.rebuildTable(peer, e, chunkRows)
-		st.Bytes += n
-		if err != nil {
-			return st, err
+	src := ShardEndpoint{Service: s.ShardName, Caller: peer}
+	sink := &localStage{s: s}
+	_, err = runStage(sink, 0, func() error {
+		for _, e := range list.Entries {
+			n, err := copyRows(s.rec, src, e, sink)
+			st.Bytes += n
+			if err != nil {
+				return fmt.Errorf("core: %s: rebuild table %d part %d: %w", s.ShardName, e.TableID, e.PartIndex, err)
+			}
+			st.Tables++
 		}
-		st.Tables++
+		return nil
+	})
+	if err != nil {
+		return st, err
 	}
 	s.rec.Record(trace.Span{
 		Layer: trace.LayerMigration,
@@ -169,71 +160,4 @@ func (s *SparseShard) RebuildFromPeer(peer rpc.Caller, chunkRows int) (RebuildSt
 	})
 	st.Duration = time.Since(start) //lint:allow determinism rebuild wall time is operator telemetry
 	return st, nil
-}
-
-// rebuildTable streams one manifest entry from the peer into local
-// staging and installs it, returning bytes streamed.
-func (s *SparseShard) rebuildTable(peer rpc.Caller, e SnapshotEntry, chunkRows int) (int64, error) {
-	stage, err := newStaged(e.Enc, e.Rows, e.Dim)
-	if err != nil {
-		return 0, fmt.Errorf("core: %s: rebuild table %d part %d: %w", s.ShardName, e.TableID, e.PartIndex, err)
-	}
-	rawStride := 0
-	if e.Enc != TierEncFP32 {
-		if rawStride, err = tierEncStride(e.Enc, e.Dim); err != nil {
-			return 0, fmt.Errorf("core: %s: rebuild table %d part %d: %w", s.ShardName, e.TableID, e.PartIndex, err)
-		}
-	}
-	var moved int64
-	for row := int32(0); row < e.Rows; row += int32(chunkRows) {
-		count := int32(chunkRows)
-		if row+count > e.Rows {
-			count = e.Rows - row
-		}
-		resp, err := rpc.SyncCall(peer, &rpc.Request{
-			Method: MethodSnapshotRead, CallID: s.rec.NextID(),
-			Body: EncodeMigrateRead(&MigrateRead{
-				TableID: e.TableID, PartIndex: e.PartIndex, RowStart: row, RowCount: count,
-			}),
-		})
-		if err != nil {
-			return moved, fmt.Errorf("core: %s: snapshot read table %d part %d: %w", s.ShardName, e.TableID, e.PartIndex, err)
-		}
-		chunk, err := DecodeMigrateReadResponse(resp.Body)
-		if err != nil {
-			return moved, fmt.Errorf("core: %s: snapshot read table %d part %d: %w", s.ShardName, e.TableID, e.PartIndex, err)
-		}
-		if chunk.Enc != e.Enc {
-			return moved, fmt.Errorf("core: %s: rebuild table %d part %d: encoding changed %d -> %d mid-stream",
-				s.ShardName, e.TableID, e.PartIndex, e.Enc, chunk.Enc)
-		}
-		if e.Enc == TierEncFP32 {
-			if int32(len(chunk.Data)) != count*e.Dim {
-				return moved, fmt.Errorf("core: %s: rebuild table %d part %d: read %d values for %d rows",
-					s.ShardName, e.TableID, e.PartIndex, len(chunk.Data), count)
-			}
-			if err := stage.writeF32(int(row), chunk.Data); err != nil {
-				return moved, fmt.Errorf("core: %s: %w", s.ShardName, err)
-			}
-			moved += int64(len(chunk.Data)) * 4
-		} else {
-			if len(chunk.Raw) != int(count)*rawStride {
-				return moved, fmt.Errorf("core: %s: rebuild table %d part %d: read %d raw bytes for %d rows",
-					s.ShardName, e.TableID, e.PartIndex, len(chunk.Raw), count)
-			}
-			if _, err := stage.writeRaw(int(row), chunk.Raw); err != nil {
-				return moved, fmt.Errorf("core: %s: %w", s.ShardName, err)
-			}
-			moved += int64(len(chunk.Raw))
-		}
-	}
-	tab, err := stage.table()
-	if err != nil {
-		return moved, fmt.Errorf("core: %s: rebuild table %d part %d: %w", s.ShardName, e.TableID, e.PartIndex, err)
-	}
-	// InstallTable runs the same tierWrap as a migration commit: an
-	// already-encoded table keeps its encoding, and any hot-row cache
-	// starts empty — the replacement rejoins cold-cached.
-	s.InstallTable(int(e.TableID), int(e.PartIndex), tab)
-	return moved, nil
 }

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/rpc"
 	"repro/internal/sharding"
 	"repro/internal/trace"
 )
@@ -34,17 +37,25 @@ func TestSnapshotListRoundTrip(t *testing.T) {
 	}
 }
 
-// rebuildFixture rebuilds a fresh, empty replacement shard from shard 1
-// of the fixture via the snapshot protocol (in-process caller) and
-// returns it.
-func rebuildFromShard(t *testing.T, peer *SparseShard, tier *TierConfig, chunkRows int) (*SparseShard, RebuildStats) {
+// withChunkRows lowers the staging chunk size for one test, forcing
+// multi-chunk streams.
+func withChunkRows(t *testing.T, rows int) {
+	t.Helper()
+	prev := stageChunkRows
+	stageChunkRows = rows
+	t.Cleanup(func() { stageChunkRows = prev })
+}
+
+// rebuildFromShard rebuilds a fresh, empty replacement shard from peer
+// (in-process caller) and returns it.
+func rebuildFromShard(t *testing.T, peer *SparseShard, tier *TierConfig) (*SparseShard, RebuildStats) {
 	t.Helper()
 	fresh := NewSparseShard(peer.ShardName, trace.NewRecorder(peer.ShardName+"-rebuilt", 1<<14))
 	if tier != nil {
 		fresh.SetTier(tier)
 	}
 	t.Cleanup(fresh.Close)
-	st, err := fresh.RebuildFromPeer(&localCaller{h: peer}, chunkRows)
+	st, err := fresh.RebuildFromPeer(&localCaller{h: peer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,19 +63,9 @@ func rebuildFromShard(t *testing.T, peer *SparseShard, tier *TierConfig, chunkRo
 }
 
 // snapshotReadAll streams a shard's full content for one manifest entry.
-func snapshotReadAll(t *testing.T, sh *SparseShard, e SnapshotEntry) *MigrateReadResponse {
+func snapshotReadAll(t *testing.T, sh *SparseShard, e SnapshotEntry) *ReadResponse {
 	t.Helper()
-	out, err := sh.Handle(trace.Context{}, MethodSnapshotRead, EncodeMigrateRead(&MigrateRead{
-		TableID: e.TableID, PartIndex: e.PartIndex, RowCount: e.Rows,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := DecodeMigrateReadResponse(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
+	return readRows(t, sh, int(e.TableID), int(e.PartIndex), 0, e.Rows)
 }
 
 // requireShardsByteIdentical compares two shards' full table sets via
@@ -112,8 +113,8 @@ func float32Bits(xs []float32) []byte {
 func TestRebuildFromPeerFP32(t *testing.T) {
 	f := newMigrationFixture(t)
 	src := f.shards[0]
-	// A small chunk size forces multi-chunk streams.
-	rebuilt, st := rebuildFromShard(t, src, nil, 7)
+	withChunkRows(t, 7)
+	rebuilt, st := rebuildFromShard(t, src, nil)
 	if st.Tables != src.NumTables() || st.Bytes == 0 {
 		t.Fatalf("stats = %+v for %d tables", st, src.NumTables())
 	}
@@ -142,7 +143,8 @@ func TestRebuildFromPeerEncodedTiers(t *testing.T) {
 	f := newTieredMigrationFixture(t, sharding.PrecisionInt8, 0.25)
 	src := f.shards[0]
 	cfg := tinyConfig()
-	rebuilt, _ := rebuildFromShard(t, src, tierConfigFor(&cfg, sharding.PrecisionInt8, 0.25), 5)
+	withChunkRows(t, 5)
+	rebuilt, _ := rebuildFromShard(t, src, tierConfigFor(&cfg, sharding.PrecisionInt8, 0.25))
 	requireShardsByteIdentical(t, src, rebuilt)
 
 	ts := rebuilt.TierSnapshot()
@@ -169,21 +171,62 @@ func TestRebuildFromPeerEncodedTiers(t *testing.T) {
 	}
 }
 
-// TestRebuildFromPeerErrors covers the failure paths: a peer that does
-// not hold a requested table, and a manifest from an empty peer.
+// TestRebuildFromPeerErrors covers the failure paths: a manifest from
+// an empty peer, a peer that does not hold a requested table, and a
+// stream that fails partway, which must install nothing and leave no
+// staging behind.
 func TestRebuildFromPeerErrors(t *testing.T) {
 	empty := NewSparseShard("sparse9", trace.NewRecorder("sparse9", 1<<12))
 	defer empty.Close()
 	fresh := NewSparseShard("sparse9", trace.NewRecorder("sparse9b", 1<<12))
 	defer fresh.Close()
-	st, err := fresh.RebuildFromPeer(&localCaller{h: empty}, 0)
+	st, err := fresh.RebuildFromPeer(&localCaller{h: empty})
 	if err != nil || st.Tables != 0 {
 		t.Fatalf("empty-peer rebuild = %+v, %v", st, err)
 	}
 
 	// A read for a table the peer dropped mid-rebuild must surface an
 	// error, not a partial install.
-	if _, err := empty.Handle(trace.Context{}, MethodSnapshotRead, EncodeMigrateRead(&MigrateRead{TableID: 3, RowCount: 4})); err == nil {
-		t.Error("snapshot read of an absent table must fail")
+	if _, err := empty.Handle(trace.Context{}, MethodSparseRead, EncodeReadRequest(&ReadRequest{TableID: 3, RowCount: 4})); err == nil {
+		t.Error("read of an absent table must fail")
+	}
+
+	f := newMigrationFixture(t)
+	withChunkRows(t, 7)
+	reads := 0
+	flaky := rpc.HandlerFunc(func(ctx trace.Context, method string, body []byte) ([]byte, error) {
+		if method == MethodSparseRead {
+			if reads++; reads > 3 {
+				return nil, fmt.Errorf("peer went away")
+			}
+		}
+		return f.shards[0].Handle(ctx, method, body)
+	})
+	if _, err := fresh.RebuildFromPeer(&localCaller{h: flaky}); err == nil || !strings.Contains(err.Error(), "peer went away") {
+		t.Fatalf("failed stream: %v", err)
+	}
+	if fresh.NumTables() != 0 || len(fresh.staging) != 0 {
+		t.Fatalf("failed rebuild left %d tables, %d staging sessions", fresh.NumTables(), len(fresh.staging))
+	}
+
+	// A manifest whose last entry cannot be staged fails at that begin,
+	// after earlier tables were staged; the session still goes.
+	badTail := rpc.HandlerFunc(func(ctx trace.Context, method string, body []byte) ([]byte, error) {
+		out, err := f.shards[0].Handle(ctx, method, body)
+		if err != nil || method != MethodSnapshotList {
+			return out, err
+		}
+		list, err := DecodeSnapshotList(out)
+		if err != nil {
+			return nil, err
+		}
+		list.Entries = append(list.Entries, SnapshotEntry{TableID: 9999})
+		return EncodeSnapshotList(list), nil
+	})
+	if _, err := fresh.RebuildFromPeer(&localCaller{h: badTail}); err == nil || !strings.Contains(err.Error(), "shape") {
+		t.Fatalf("unstageable manifest entry: %v", err)
+	}
+	if fresh.NumTables() != 0 || len(fresh.staging) != 0 {
+		t.Fatalf("failed rebuild left %d tables, %d staging sessions", fresh.NumTables(), len(fresh.staging))
 	}
 }

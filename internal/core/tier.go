@@ -38,7 +38,7 @@ type TierConfig struct {
 	Plan *sharding.TierPlan
 }
 
-// Cold-tier encodings on the migration wire (MigrateBegin.Enc et al).
+// Cold-tier encodings on the staging wire (StageBegin.Enc et al).
 const (
 	TierEncFP32 int32 = 0
 	TierEncFP16 int32 = 1
@@ -85,11 +85,14 @@ func tierEncStride(enc, dim int32) (int, error) {
 	return 0, fmt.Errorf("core: no raw row stride for encoding %d", enc)
 }
 
-// stagedTable is migration staging storage in the destination's native
-// cold-tier encoding: chunks land as verbatim encoded bytes, so the
-// committed table is bit-identical to the source's.
+// stagedTable is staging storage in a table's native cold-tier
+// encoding: rows land as verbatim encoded bytes, so the committed table
+// is bit-identical to the source's.
 type stagedTable struct {
-	enc   int32
+	enc int32
+	// clone marks staging that started as a copy of the held table (a
+	// freshness delta) rather than empty (a migration or rebuild).
+	clone bool
 	dense *embedding.Dense
 	fp16  *quant.FP16Rows
 	q     *quant.RowQuantized
@@ -107,7 +110,7 @@ func newStaged(enc, rows, dim int32) (*stagedTable, error) {
 	case TierEncInt4:
 		st.q = quant.NewRowQuantizedEmpty(int(rows), int(dim), quant.Bits4)
 	default:
-		return nil, fmt.Errorf("core: migrate begin with unknown encoding %d", enc)
+		return nil, fmt.Errorf("core: stage begin with unknown encoding %d", enc)
 	}
 	return st, nil
 }
@@ -131,7 +134,7 @@ func (st *stagedTable) writeF32(lo int, data []float32) error {
 	d := st.dense.Dim()
 	rows := len(data) / d
 	if lo < 0 || lo+rows > st.dense.NumRows() {
-		return fmt.Errorf("core: migrate chunk rows [%d, %d) of %d", lo, lo+rows, st.dense.NumRows())
+		return fmt.Errorf("core: stage rows [%d, %d) of %d", lo, lo+rows, st.dense.NumRows())
 	}
 	copy(st.dense.Data[lo*d:(lo+rows)*d], data)
 	return nil

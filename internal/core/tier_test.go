@@ -65,56 +65,6 @@ func newTieredMigrationFixture(t *testing.T, prec sharding.Precision, cacheMB fl
 	return f
 }
 
-// migrateTableEnc drives the full wire protocol for one whole table from
-// shard 1 to shard 2, carrying the source's cold-tier encoding.
-func (f *migrationFixture) migrateTableEnc(t *testing.T, id int) {
-	t.Helper()
-	src, dst := f.shards[0], f.shards[1]
-	ctx := trace.Context{}
-	probe, err := src.Handle(ctx, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{TableID: int32(id)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shape, err := DecodeMigrateReadResponse(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dst.Handle(ctx, MethodMigrateBegin, EncodeMigrateBegin(&MigrateBegin{
-		TableID: int32(id), NumParts: 1, Rows: shape.Rows, Dim: shape.Dim, Enc: shape.Enc,
-	})); err != nil {
-		t.Fatal(err)
-	}
-	const chunk = 5 // deliberately not a divisor of Rows
-	for row := int32(0); row < shape.Rows; row += chunk {
-		count := int32(chunk)
-		if row+count > shape.Rows {
-			count = shape.Rows - row
-		}
-		out, err := src.Handle(ctx, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{
-			TableID: int32(id), RowStart: row, RowCount: count,
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rr, err := DecodeMigrateReadResponse(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rr.Enc != shape.Enc {
-			t.Fatalf("encoding changed mid-stream: %d -> %d", shape.Enc, rr.Enc)
-		}
-		if _, err := dst.Handle(ctx, MethodMigrateChunk, EncodeMigrateChunk(&MigrateChunk{
-			TableID: int32(id), RowStart: row, Dim: shape.Dim, Enc: shape.Enc,
-			Data: rr.Data, Raw: rr.Raw,
-		})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := dst.Handle(ctx, MethodMigrateCommit, EncodeMigrateCommit(&MigrateCommit{TableID: int32(id)})); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestTieredMigrationIdentity walks an encoded (int8 + cached) table
 // through the cutover states and requires byte-identical pooled results
 // throughout: encoded rows stream verbatim, the committed copy starts
@@ -139,7 +89,7 @@ func TestTieredMigrationIdentity(t *testing.T) {
 				t.Fatalf("warm-cache replay diverged (err %v)", err)
 			}
 
-			f.migrateTableEnc(t, id)
+			f.migrateTable(t, id, 5)
 
 			// The committed copy's encoding must match the source's.
 			srcStats, dstStats := src.TierSnapshot(), dst.TierSnapshot()
@@ -390,24 +340,13 @@ func TestStagedTableErrors(t *testing.T) {
 	dst := f.shards[1]
 	id := f.plan.Shards[0].Tables[0]
 	ctx := trace.Context{}
-	probe, err := f.shards[0].Handle(ctx, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{TableID: int32(id)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shape, err := DecodeMigrateReadResponse(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shape := readRows(t, f.shards[0], id, 0, 0, 0)
 	if shape.Enc != TierEncInt8 {
 		t.Fatalf("int8 fixture reports encoding %d", shape.Enc)
 	}
-	if _, err := dst.Handle(ctx, MethodMigrateBegin, EncodeMigrateBegin(&MigrateBegin{
-		TableID: int32(id), NumParts: 1, Rows: shape.Rows, Dim: shape.Dim, Enc: shape.Enc,
-	})); err != nil {
-		t.Fatal(err)
-	}
-	_, err = dst.Handle(ctx, MethodMigrateChunk, EncodeMigrateChunk(&MigrateChunk{
-		TableID: int32(id), RowStart: 0, Dim: shape.Dim, Enc: TierEncFP32,
+	session := beginStage(t, dst, &StageBegin{TableID: int32(id), Rows: shape.Rows, Dim: shape.Dim, Enc: shape.Enc})
+	_, err = dst.Handle(ctx, MethodStageRows, EncodeStageRows(&StageRows{
+		Session: session, TableID: int32(id), RowStart: 0, Dim: shape.Dim, Enc: TierEncFP32,
 		Data: make([]float32, int(shape.Dim)),
 	}))
 	if err == nil || !strings.Contains(err.Error(), "encoding") {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -10,61 +11,25 @@ import (
 	"repro/internal/workload"
 )
 
-// readTableRows probes a held table's shape and reads all its rows in
-// the cold tier's native encoding — the material for identity deltas.
-func readTableRows(t *testing.T, sh *SparseShard, id, part int) *MigrateReadResponse {
+// readTableRows reads all of a held table's rows in the cold tier's
+// native encoding — the material for identity deltas.
+func readTableRows(t *testing.T, sh *SparseShard, id, part int) *ReadResponse {
 	t.Helper()
-	ctx := trace.Context{}
-	probe, err := sh.Handle(ctx, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{TableID: int32(id), PartIndex: int32(part)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shape, err := DecodeMigrateReadResponse(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := sh.Handle(ctx, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{
-		TableID: int32(id), PartIndex: int32(part), RowCount: shape.Rows,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := DecodeMigrateReadResponse(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return full
+	return readRows(t, sh, id, part, 0, readRows(t, sh, id, part, 0, 0).Rows)
 }
 
-// applyUpdate drives the full begin → rows → commit protocol for one
-// table with the given payload (rows in the table's encoding).
-func applyUpdate(t *testing.T, sh *SparseShard, version uint64, id, part int, rows *MigrateReadResponse) *UpdateCommitResponse {
+// applyUpdate drives a clone-staged begin → rows → commit session for
+// one table with the given payload (rows in the table's encoding).
+func applyUpdate(t *testing.T, sh *SparseShard, version uint64, id, part int, rows *ReadResponse) *StageCommitResponse {
 	t.Helper()
-	ctx := trace.Context{}
-	if _, err := sh.Handle(ctx, MethodUpdateBegin, EncodeUpdateBegin(&UpdateBegin{
-		Version: version, TableID: int32(id), PartIndex: int32(part),
-		Rows: rows.Rows, Dim: rows.Dim, Enc: rows.Enc,
-	})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sh.Handle(ctx, MethodUpdateRows, EncodeUpdateRows(&UpdateRows{
-		Version: version,
-		Chunk: MigrateChunk{
-			TableID: int32(id), PartIndex: int32(part), RowStart: 0,
-			Dim: rows.Dim, Enc: rows.Enc, Data: rows.Data, Raw: rows.Raw,
-		},
-	})); err != nil {
-		t.Fatal(err)
-	}
-	out, err := sh.Handle(ctx, MethodUpdateCommit, EncodeUpdateCommit(&UpdateCommit{Version: version}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := DecodeUpdateCommitResponse(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
+	session := beginStage(t, sh, &StageBegin{
+		TableID: int32(id), PartIndex: int32(part), Rows: rows.Rows, Dim: rows.Dim, Enc: rows.Enc, Clone: true,
+	})
+	stageRows(t, sh, &StageRows{
+		Session: session, TableID: int32(id), PartIndex: int32(part), RowStart: 0,
+		Dim: rows.Dim, Enc: rows.Enc, Data: rows.Data, Raw: rows.Raw,
+	})
+	return commitStage(t, sh, session, version)
 }
 
 // TestUpdateIdentityDelta proves an identity delta (current rows
@@ -147,21 +112,11 @@ func TestUpdateMutatesRows(t *testing.T) {
 	for i := range newRow {
 		newRow[i] = float32(i) + 0.5
 	}
-	ctx := trace.Context{}
-	if _, err := sh.Handle(ctx, MethodUpdateBegin, EncodeUpdateBegin(&UpdateBegin{
-		Version: 3, TableID: int32(id), Rows: int32(cfg.Tables[id].Rows), Dim: int32(dim), Enc: TierEncFP32,
-	})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sh.Handle(ctx, MethodUpdateRows, EncodeUpdateRows(&UpdateRows{
-		Version: 3,
-		Chunk:   MigrateChunk{TableID: int32(id), RowStart: 0, Dim: int32(dim), Enc: TierEncFP32, Data: newRow},
-	})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sh.Handle(ctx, MethodUpdateCommit, EncodeUpdateCommit(&UpdateCommit{Version: 3})); err != nil {
-		t.Fatal(err)
-	}
+	session := beginStage(t, sh, &StageBegin{
+		TableID: int32(id), Rows: int32(cfg.Tables[id].Rows), Dim: int32(dim), Enc: TierEncFP32, Clone: true,
+	})
+	stageRows(t, sh, &StageRows{Session: session, TableID: int32(id), RowStart: 0, Dim: int32(dim), Enc: TierEncFP32, Data: newRow})
+	commitStage(t, sh, session, 3)
 
 	got := shardLookup(t, sh, cfg.Tables[id].Net, id, 0, 1, []int32{0})
 	if !bitsEqual(got, newRow) {
@@ -194,40 +149,41 @@ func TestUpdateErrors(t *testing.T) {
 	rowsN := int32(cfg.Tables[id].Rows)
 	ctx := trace.Context{}
 
-	if _, err := sh.Handle(ctx, MethodUpdateRows, EncodeUpdateRows(&UpdateRows{
-		Version: 1, Chunk: MigrateChunk{TableID: int32(id), Dim: dim, Enc: TierEncFP32, Data: make([]float32, dim)},
+	begin := func(rows int32, enc int32, tid int32) error {
+		_, err := sh.Handle(ctx, MethodStageBegin, EncodeStageBegin(&StageBegin{
+			TableID: tid, Rows: rows, Dim: dim, Enc: enc, Clone: true,
+		}))
+		return err
+	}
+	if _, err := sh.Handle(ctx, MethodStageRows, EncodeStageRows(&StageRows{
+		Session: 1, TableID: int32(id), Dim: dim, Enc: TierEncFP32, Data: make([]float32, dim),
 	})); err == nil {
 		t.Error("rows without begin accepted")
 	}
-	if _, err := sh.Handle(ctx, MethodUpdateCommit, EncodeUpdateCommit(&UpdateCommit{Version: 1})); err == nil {
+	if _, err := sh.Handle(ctx, MethodStageCommit, EncodeStageCommit(&StageCommit{Session: 1, Version: 1})); err == nil {
 		t.Error("commit without begin accepted")
 	}
-	if _, err := sh.Handle(ctx, MethodUpdateBegin, EncodeUpdateBegin(&UpdateBegin{
-		Version: 1, TableID: int32(id), Rows: rowsN + 1, Dim: dim, Enc: TierEncFP32,
-	})); err == nil {
+	if err := begin(rowsN+1, TierEncFP32, int32(id)); err == nil {
 		t.Error("begin with wrong row count accepted")
 	}
-	if _, err := sh.Handle(ctx, MethodUpdateBegin, EncodeUpdateBegin(&UpdateBegin{
-		Version: 1, TableID: int32(id), Rows: rowsN, Dim: dim, Enc: TierEncFP16,
-	})); err == nil {
+	if err := begin(rowsN, TierEncFP16, int32(id)); err == nil {
 		t.Error("begin with wrong encoding accepted")
 	}
-	if _, err := sh.Handle(ctx, MethodUpdateBegin, EncodeUpdateBegin(&UpdateBegin{
-		Version: 1, TableID: 9999, Rows: rowsN, Dim: dim, Enc: TierEncFP32,
-	})); err == nil {
-		t.Error("begin for unheld table accepted")
+	if err := begin(rowsN, TierEncFP32, 9999); err == nil || !strings.Contains(err.Error(), "not held") {
+		t.Errorf("begin for unheld table: %v", err)
 	}
 
-	// A begun-then-aborted version refuses rows and commit.
-	if _, err := sh.Handle(ctx, MethodUpdateBegin, EncodeUpdateBegin(&UpdateBegin{
-		Version: 2, TableID: int32(id), Rows: rowsN, Dim: dim, Enc: TierEncFP32,
-	})); err != nil {
+	// A begun-then-aborted session refuses rows and commit.
+	session := beginStage(t, sh, &StageBegin{TableID: int32(id), Rows: rowsN, Dim: dim, Enc: TierEncFP32, Clone: true})
+	if _, err := sh.Handle(ctx, MethodStageAbort, EncodeStageRef(&StageRef{Session: session})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Handle(ctx, MethodUpdateAbort, EncodeUpdateCommit(&UpdateCommit{Version: 2})); err != nil {
-		t.Fatal(err)
+	if _, err := sh.Handle(ctx, MethodStageRows, EncodeStageRows(&StageRows{
+		Session: session, TableID: int32(id), Dim: dim, Enc: TierEncFP32, Data: make([]float32, dim),
+	})); err == nil {
+		t.Error("rows after abort accepted")
 	}
-	if _, err := sh.Handle(ctx, MethodUpdateCommit, EncodeUpdateCommit(&UpdateCommit{Version: 2})); err == nil {
+	if _, err := sh.Handle(ctx, MethodStageCommit, EncodeStageCommit(&StageCommit{Session: session, Version: 2})); err == nil {
 		t.Error("commit after abort accepted")
 	}
 	if sh.ModelVersion() != 0 {
@@ -251,23 +207,11 @@ func TestUpdateSkipsReleasedTable(t *testing.T) {
 	}
 	sh := shards[0]
 	id := plan.Shards[0].Tables[0]
-	ctx := trace.Context{}
 	rows := readTableRows(t, sh, id, 0)
-	if _, err := sh.Handle(ctx, MethodUpdateBegin, EncodeUpdateBegin(&UpdateBegin{
-		Version: 5, TableID: int32(id), Rows: rows.Rows, Dim: rows.Dim, Enc: rows.Enc,
-	})); err != nil {
-		t.Fatal(err)
-	}
+	session := beginStage(t, sh, &StageBegin{TableID: int32(id), Rows: rows.Rows, Dim: rows.Dim, Enc: rows.Enc, Clone: true})
 	held := sh.NumTables()
 	sh.ReleaseTable(id, 0)
-	out, err := sh.Handle(ctx, MethodUpdateCommit, EncodeUpdateCommit(&UpdateCommit{Version: 5}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := DecodeUpdateCommitResponse(out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := commitStage(t, sh, session, 5)
 	if resp.Tables != 0 {
 		t.Fatalf("commit installed %d tables after release, want 0", resp.Tables)
 	}
@@ -276,6 +220,51 @@ func TestUpdateSkipsReleasedTable(t *testing.T) {
 	}
 	if sh.ModelVersion() != 5 {
 		t.Fatalf("model version %d, want 5 (commit still acknowledges)", sh.ModelVersion())
+	}
+}
+
+// TestUpdateBeginRetriesSwappedTable: a clone whose source copy was
+// replaced or released while it was taken (a migration or another
+// commit landed) is refused with a retry, never staged over the new set.
+func TestUpdateBeginRetriesSwappedTable(t *testing.T) {
+	cfg := tinyConfig()
+	m := model.Build(cfg)
+	plan, err := sharding.CapacityBalanced(&cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []*trace.Recorder{trace.NewRecorder("sparse1", 64), trace.NewRecorder("sparse2", 64)}
+	shards, err := MaterializeShards(m, plan, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := shards[0]
+	id := plan.Shards[0].Tables[0]
+	rows := readTableRows(t, sh, id, 0)
+	begin := &StageBegin{TableID: int32(id), Rows: rows.Rows, Dim: rows.Dim, Enc: rows.Enc, Clone: true}
+
+	held, stage, err := sh.cloneHeld(begin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sh.addStaged(begin, held, stage); err != nil {
+		t.Fatalf("clone of an unchanged table refused: %v", err)
+	}
+	fresh, err := cloneStaged(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped, err := fresh.table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.InstallTable(id, 0, swapped)
+	if _, err := sh.addStaged(begin, held, stage); err == nil || !strings.Contains(err.Error(), "retry") {
+		t.Fatalf("clone of a replaced table: %v", err)
+	}
+	sh.ReleaseTable(id, 0)
+	if _, err := sh.addStaged(begin, swapped, stage); err == nil || !strings.Contains(err.Error(), "retry") {
+		t.Fatalf("clone of a released table: %v", err)
 	}
 }
 

@@ -223,7 +223,6 @@ func (s *Server) dispatch(conn net.Conn, writeMu *sync.Mutex, payload []byte) {
 		})
 		return
 	}
-	defer s.inFlight.Add(-1)
 	for peak := s.peak.Load(); n > peak && !s.peak.CompareAndSwap(peak, n); peak = s.peak.Load() {
 	}
 
@@ -233,6 +232,10 @@ func (s *Server) dispatch(conn net.Conn, writeMu *sync.Mutex, payload []byte) {
 	preDur := time.Since(svcStart)
 
 	body, herr := s.handler.Handle(ctx, req.Method, req.Body)
+	// Release the slot once the handler returns, before the reply is
+	// written (as the rejection path does): a caller holding its answer
+	// must never observe its own request still counted in flight.
+	s.inFlight.Add(-1)
 
 	postStart := time.Now()
 	resp := &Response{CallID: req.CallID, Body: body}
