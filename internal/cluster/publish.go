@@ -20,7 +20,9 @@ import (
 // serves it); it returns stale and its staleness shows in its
 // <shard>.model_version gauge until the next publish or rebuild.
 func (c *Cluster) Publisher() (*core.Publisher, error) {
-	if !c.Plan.IsDistributed() {
+	// c.shards, fixed at boot, rather than c.Plan, which a concurrent
+	// Rebalance rewrites.
+	if c.shards == nil {
 		return nil, fmt.Errorf("cluster: singular deployments hold no sparse shards; swap dense weights via Engine.SwapDense")
 	}
 	pub := &core.Publisher{

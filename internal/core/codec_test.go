@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -181,5 +183,101 @@ func TestPooledEntryShapeValidation(t *testing.T) {
 	buf[12] = 9
 	if _, err := DecodeSparseResponse(buf); err == nil {
 		t.Error("shape mismatch should be rejected")
+	}
+}
+
+// TestSparseResponseCompactRows pins the compact pooled encoding: only
+// present rows travel and survive bit for bit (an all-+0 row and a −0
+// value included), and rows absent from the bitmap land as +0 when the
+// entry is scattered into the embedding matrix.
+func TestSparseResponseCompactRows(t *testing.T) {
+	negZero := math.Float32frombits(0x80000000)
+	sent := PooledEntry{
+		TableID: 4, PartIndex: 1, Rows: 10, Cols: 2,
+		Present: []byte{0b0000_0101, 0b10}, // rows 0, 2 and 9
+		Data:    []float32{0, 0, negZero, 1.5, -2, float32(math.Inf(1))},
+	}
+	buf := EncodeSparseResponse(&SparseResponse{Entries: []PooledEntry{sent}})
+	if want := 4 + 16 + 2 + 4*6; len(buf) != want {
+		t.Fatalf("encoded %d bytes, want %d", len(buf), want)
+	}
+	resp, err := DecodeSparseResponse(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := resp.Entries[0]
+	if got.TableID != 4 || got.PartIndex != 1 || got.Rows != 10 || got.Cols != 2 ||
+		!bytes.Equal(got.Present, sent.Present) || !f32sBitEqual(got.Data, sent.Data) {
+		t.Fatalf("round trip: %+v", got)
+	}
+
+	asm := newEmbAssembler(10, 3, 1)
+	newCollector(1, 10, 2, asm, 1, nil).deliver(&got, nil)
+	emb, err := asm.future.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float32, 30)
+	want[2*3+1], want[2*3+2] = negZero, 1.5
+	want[9*3+1], want[9*3+2] = -2, float32(math.Inf(1))
+	if !f32sBitEqual(emb.Data, want) {
+		t.Fatalf("scattered emb = %v, want %v", emb.Data, want)
+	}
+}
+
+// TestDecodeRejectsHostileCounts feeds bodies whose counts claim more
+// elements than their bytes could hold, or whose shapes are otherwise
+// inconsistent: each must fail to decode without sizing an allocation
+// from the count.
+func TestDecodeRejectsHostileCounts(t *testing.T) {
+	u32 := func(vs ...uint32) []byte {
+		var w buffer
+		for _, v := range vs {
+			w.u32(v)
+		}
+		return w.b
+	}
+	requests := map[string][]byte{
+		"entry count":  {0, 0, 0, 0, 0xff, 0xff, 0xff, 0x0f},
+		"bag count":    u32(0, 1, 7, 0, 1, 0x0fffffff),
+		"bag length":   u32(0, 1, 7, 0, 1, 1, 0x0fffffff),
+		"trailing":     append(EncodeSparseRequest(&SparseRequest{Net: "n"}), 0),
+		"entry header": u32(0, 1, 7, 0),
+	}
+	for name, b := range requests {
+		if _, err := DecodeSparseRequest(b); err == nil {
+			t.Errorf("sparse request %s accepted", name)
+		}
+	}
+	responses := map[string][]byte{
+		"entry count":   u32(0x0fffffff, 0),
+		"rows":          u32(1, 7, 0, 0x7fffffff, 1),
+		"rows negative": u32(1, 7, 0, 0xffffffff, 1),
+		"cols":          append(u32(1, 7, 0, 1, 0x0fffffff), 1),
+		"bit past rows": append(u32(1, 7, 0, 3, 1), 0b1000, 0, 0, 0, 0),
+		"trailing":      append(EncodeSparseResponse(&SparseResponse{}), 0),
+	}
+	for name, b := range responses {
+		if _, err := DecodeSparseResponse(b); err == nil {
+			t.Errorf("sparse response %s accepted", name)
+		}
+	}
+	rankHeader := func() *buffer {
+		var w buffer
+		w.u64(1) // ID
+		w.u32(1) // items
+		return &w
+	}
+	bagCount := rankHeader()
+	bagCount.b = append(bagCount.b, u32(0, 1, 0, 0x0fffffff)...) // no dense; table 0's bag count
+	denseShape := rankHeader()
+	denseShape.u32(1)
+	denseShape.str("n")
+	denseShape.b = append(denseShape.b, u32(1<<16, 1<<16, 0, 0)...) // rows×cols wraps uint32 to 0 values
+	ranking := map[string][]byte{"bag count": bagCount.b, "dense shape": denseShape.b}
+	for name, b := range ranking {
+		if _, err := DecodeRankingRequest(b); err == nil {
+			t.Errorf("ranking request %s accepted", name)
+		}
 	}
 }

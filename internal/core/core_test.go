@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/embedding"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/rpc"
 	"repro/internal/sharding"
 	"repro/internal/tensor"
 	"repro/internal/trace"
@@ -30,8 +32,7 @@ func TestCollectorSingleSourceIntoEmb(t *testing.T) {
 	asm := newEmbAssembler(2, 5, 1)
 	inter := nn.NewFuture()
 	c := newCollector(1, 2, 3, asm, 1, inter)
-	m := tensor.FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	c.deliver(m, nil)
+	c.deliver(&PooledEntry{Rows: 2, Cols: 3, Data: []float32{1, 2, 3, 4, 5, 6}}, nil)
 	emb, err := asm.future.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +45,7 @@ func TestCollectorSingleSourceIntoEmb(t *testing.T) {
 		t.Fatal("columns outside the table range must stay zero")
 	}
 	got, err := inter.Wait()
-	if err != nil || got != m {
+	if err != nil || got.Rows != 2 || got.Cols != 3 || got.At(0, 0) != 1 || got.At(1, 2) != 6 {
 		t.Fatalf("interact future: %v, %v", got, err)
 	}
 }
@@ -52,9 +53,9 @@ func TestCollectorSingleSourceIntoEmb(t *testing.T) {
 func TestCollectorMergesPartials(t *testing.T) {
 	asm := newEmbAssembler(1, 2, 1)
 	c := newCollector(3, 1, 2, asm, 0, nil)
-	c.deliver(tensor.FromSlice(1, 2, []float32{1, 10}), nil)
+	c.deliver(&PooledEntry{Rows: 1, Cols: 2, Data: []float32{1, 10}}, nil)
 	c.deliver(nil, nil) // skipped source contributes zeros
-	c.deliver(tensor.FromSlice(1, 2, []float32{2, 20}), nil)
+	c.deliver(&PooledEntry{Rows: 1, Cols: 2, Data: []float32{2, 20}}, nil)
 	emb, err := asm.future.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +86,7 @@ func TestCollectorErrorWins(t *testing.T) {
 	inter := nn.NewFuture()
 	c := newCollector(2, 1, 1, asm, 0, inter)
 	c.deliver(nil, errors.New("shard down"))
-	c.deliver(tensor.New(1, 1), nil) // late success ignored
+	c.deliver(&PooledEntry{Rows: 1, Cols: 1, Data: []float32{0}}, nil) // late success ignored
 	if _, err := asm.future.Wait(); err == nil {
 		t.Fatal("error should propagate to the emb future")
 	}
@@ -97,7 +98,7 @@ func TestCollectorErrorWins(t *testing.T) {
 func TestCollectorShapeMismatch(t *testing.T) {
 	asm := newEmbAssembler(1, 2, 1)
 	c := newCollector(2, 1, 2, asm, 0, nil)
-	c.deliver(tensor.New(1, 3), nil)
+	c.deliver(&PooledEntry{Rows: 1, Cols: 3, Data: make([]float32, 3)}, nil)
 	if _, err := asm.future.Wait(); err == nil {
 		t.Fatal("shape mismatch should fail")
 	}
@@ -107,13 +108,13 @@ func TestEmbAssemblerWaitsForAllTables(t *testing.T) {
 	asm := newEmbAssembler(1, 4, 2)
 	c1 := newCollector(1, 1, 2, asm, 0, nil)
 	c2 := newCollector(1, 1, 2, asm, 2, nil)
-	c1.deliver(tensor.FromSlice(1, 2, []float32{1, 2}), nil)
+	c1.deliver(&PooledEntry{Rows: 1, Cols: 2, Data: []float32{1, 2}}, nil)
 	select {
 	case <-futureDone(asm.future):
 		t.Fatal("emb future completed before all tables delivered")
 	default:
 	}
-	c2.deliver(tensor.FromSlice(1, 2, []float32{3, 4}), nil)
+	c2.deliver(&PooledEntry{Rows: 1, Cols: 2, Data: []float32{3, 4}}, nil)
 	emb, err := asm.future.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -508,5 +509,129 @@ func TestExecuteBatchEdgeCases(t *testing.T) {
 	bad := &RankingRequest{ID: 99, Items: 0}
 	if _, err := eng.ExecuteBatch([]BatchItem{{Req: req}, {Req: bad}}); err == nil {
 		t.Error("malformed member must fail batch validation")
+	}
+}
+
+// TestCompactPooledRowsMatchInline scores a request in which one table's
+// bags are all empty and a row-partitioned table's part 1 gets no hits,
+// over a two-shard deployment, and requires the scores to equal in-line
+// SLS bit for bit. The shards must send neither table's empty rows.
+func TestCompactPooledRowsMatchInline(t *testing.T) {
+	cfg := tinyConfig()
+	m := model.Build(cfg)
+	net1 := cfg.NetTables("net1")
+	interact := pickInteract(net1, cfg.Nets[0].InteractFeatures)
+	partID, emptyID := interact[0], interact[1]
+
+	// Partition partID across both shards; emptyID stays whole.
+	plan, err := sharding.LoadBalanced(&cfg, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range plan.Shards {
+		a := &plan.Shards[i]
+		for j, id := range a.Tables {
+			if id == partID {
+				a.Tables = append(a.Tables[:j:j], a.Tables[j+1:]...)
+				break
+			}
+		}
+		a.Parts = append(a.Parts, sharding.PartRef{TableID: partID, PartIndex: i, NumParts: 2})
+	}
+	if err := plan.Validate(&cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	// Raw IDs whose hashed bucket is even all land on part 0.
+	raw := make([]int32, 256)
+	for i := range raw {
+		raw[i] = int32(i)
+	}
+	ws := nn.NewWorkspace()
+	ws.SetBags("raw", []embedding.Bag{{Indices: raw}})
+	hash := &nn.HashAllBags{OpName: "hash", Entries: []nn.HashEntry{{Buckets: int32(cfg.Tables[partID].Rows), Input: "raw", Output: "hashed"}}}
+	if err := hash.Run(ws); err != nil {
+		t.Fatal(err)
+	}
+	hashed, _ := ws.Bags("hashed")
+	var even []int32
+	for i, h := range hashed[0].Indices {
+		if h%2 == 0 {
+			even = append(even, raw[i])
+		}
+	}
+
+	req := FromWorkload(workload.NewGenerator(cfg, 29).Next())
+	items := int(req.Items)
+	req.Bags[int32(emptyID)] = make([]embedding.Bag, items)
+	partBags := make([]embedding.Bag, items)
+	for b := range partBags {
+		if b%3 != 2 { // every third bag stays empty
+			partBags[b].Indices = []int32{even[2*b], even[2*b+1]}
+		}
+	}
+	req.Bags[int32(partID)] = partBags
+
+	inline, err := NewEngine(m, sharding.Singular(&cfg), EngineConfig{Recorder: trace.NewRecorder("main", 1<<14)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := inline.Execute(trace.Context{TraceID: 1}, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	recs := []*trace.Recorder{trace.NewRecorder("sparse1", 1<<14), trace.NewRecorder("sparse2", 1<<14)}
+	shards, err := MaterializeShards(m, plan, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	callers := make(map[string]rpc.Caller)
+	for i, sh := range shards {
+		srv, err := rpc.NewServer("127.0.0.1:0", sh, rpc.ServerConfig{Recorder: recs[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := rpc.Dial(srv.Addr(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		callers[sh.ShardName] = cl
+		t.Cleanup(func() { cl.Close(); srv.Close(); sh.Close() })
+	}
+	dist, err := NewEngine(m, plan, EngineConfig{Recorder: trace.NewRecorder("main", 1<<14), ClientFor: func(service string) (rpc.Caller, error) {
+		return callers[service], nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dist.Execute(trace.Context{TraceID: 2}, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(float32sBytes(got), float32sBytes(want)) {
+		t.Fatalf("distributed scores %v, in-line %v", got, want)
+	}
+
+	// Part 1 of partID on shard 2: no bag has a hit, so no row travels.
+	resp, err := shards[1].Handle(trace.Context{TraceID: 3}, MethodSparseRun, EncodeSparseRequest(&SparseRequest{
+		Net: "net1", Entries: []SparseEntry{
+			{TableID: int32(partID), PartIndex: 1, NumParts: 2, Bags: make([]embedding.Bag, 9)},
+			{TableID: int32(partID), PartIndex: 1, NumParts: 2, Bags: []embedding.Bag{{}, {Indices: []int32{0}}, {}}},
+		},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := DecodeSparseResponse(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dim := cfg.Tables[partID].Dim
+	if e := pooled.Entries[0]; e.Rows != 9 || !bytes.Equal(e.Present, []byte{0, 0}) || len(e.Data) != 0 {
+		t.Errorf("all-empty entry sent %+v", e)
+	}
+	if e := pooled.Entries[1]; e.Rows != 3 || !bytes.Equal(e.Present, []byte{0b010}) || len(e.Data) != dim {
+		t.Errorf("one-hit entry sent %+v", e)
 	}
 }

@@ -54,14 +54,19 @@ func (a *embAssembler) fail(err error) {
 	a.future.Complete(nil, err)
 }
 
-// collector merges pooled contributions for one table. Whole tables have
-// one source; row-partitioned tables have one source per part, and the
+// collector merges pooled contributions for one table straight into its
+// columns of the batch's fused embedding matrix. Whole tables have one
+// source; row-partitioned tables have one source per part, and the
 // partial pools are summed (sum pooling distributes over row partitions,
-// so the merge is exact). When the last source delivers, the collector
-// writes its columns into the batch's fused embedding matrix and, for
-// interaction features, completes the table's standalone pooled future.
+// so the merge is exact). Only present rows arrive: an absent row pools
+// to +0, which the pre-zeroed matrix already holds, and adding it would
+// change nothing, since a pooled sum starts at +0 and so is never −0.
+// When the last source delivers, the collector completes the batch's
+// table and, for interaction features, the table's standalone pooled
+// future.
 type collector struct {
 	rows, cols int
+	sources    int
 	asm        *embAssembler
 	colOff     int
 	// interact is the per-table pooled blob future; nil unless the table
@@ -70,63 +75,62 @@ type collector struct {
 
 	mu      sync.Mutex
 	pending int
-	acc     *tensor.Matrix
 	failed  bool
 }
 
 func newCollector(sources, rows, cols int, asm *embAssembler, colOff int, interact *nn.Future) *collector {
 	return &collector{
-		rows: rows, cols: cols, asm: asm, colOff: colOff, interact: interact,
+		rows: rows, cols: cols, sources: sources, asm: asm, colOff: colOff, interact: interact,
 		pending: sources,
 	}
 }
 
-// deliver merges one contribution; a nil matrix with nil error means "no
-// hits on this source" (skipped empty call) and contributes zeros.
-func (c *collector) deliver(m *tensor.Matrix, err error) {
+// deliver merges one contribution; a nil entry with nil error means "no
+// hits on this source" (skipped empty call) and contributes nothing.
+func (c *collector) deliver(pe *PooledEntry, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.failed {
 		return
 	}
 	if err != nil {
-		c.failed = true
-		c.asm.fail(err)
-		if c.interact != nil {
-			c.interact.Complete(nil, err)
-		}
+		c.deliverErrLocked(err)
 		return
 	}
-	if m != nil {
-		if m.Rows != c.rows || m.Cols != c.cols {
-			c.deliverErrLocked(fmt.Errorf("core: partial pool shape %dx%d, want %dx%d", m.Rows, m.Cols, c.rows, c.cols))
+	if pe != nil {
+		if int(pe.Rows) != c.rows || int(pe.Cols) != c.cols {
+			c.deliverErrLocked(fmt.Errorf("core: partial pool shape %dx%d, want %dx%d", pe.Rows, pe.Cols, c.rows, c.cols))
 			return
 		}
-		if c.acc == nil {
-			c.acc = m
-		} else {
-			for i, v := range m.Data {
-				c.acc.Data[i] += v
+		// Column ranges are disjoint across collectors, so writing
+		// without the assembler's lock is safe; completion ordering is
+		// serialized by tableDone.
+		src := pe.Data
+		for b := 0; b < c.rows; b++ {
+			if !pe.present(b) {
+				continue
 			}
+			dst := c.asm.emb.Row(b)[c.colOff : c.colOff+c.cols]
+			if c.sources == 1 {
+				copy(dst, src[:c.cols])
+			} else {
+				for j, v := range src[:c.cols] {
+					dst[j] += v
+				}
+			}
+			src = src[c.cols:]
 		}
 	}
 	c.pending--
 	if c.pending > 0 {
 		return
 	}
-	if c.acc == nil {
-		// Every source was skipped (no hits): the pooled result is a
-		// zero matrix, exactly what in-line SLS of empty bags yields.
-		c.acc = tensor.New(c.rows, c.cols)
-	}
-	// Column ranges are disjoint across collectors, so writing without
-	// the assembler's lock is safe; completion ordering is serialized by
-	// tableDone.
-	for b := 0; b < c.rows; b++ {
-		copy(c.asm.emb.Row(b)[c.colOff:c.colOff+c.cols], c.acc.Row(b))
-	}
 	if c.interact != nil {
-		c.interact.Complete(c.acc, nil)
+		pooled := tensor.New(c.rows, c.cols)
+		for b := 0; b < c.rows; b++ {
+			copy(pooled.Row(b), c.asm.emb.Row(b)[c.colOff:c.colOff+c.cols])
+		}
+		c.interact.Complete(pooled, nil)
 	}
 	c.asm.tableDone()
 }
@@ -267,15 +271,15 @@ func (o *rpcOp) Run(ws *nn.Workspace) error {
 			}
 			return
 		}
-		for i, pe := range resp.Entries {
-			e := work[i].e
+		for i := range resp.Entries {
+			pe, e := &resp.Entries[i], work[i].e
 			if int(pe.TableID) != e.tableID || int(pe.Rows) != o.batchItems || int(pe.Cols) != e.dim {
 				o.collectors[e.tableID].deliver(nil, fmt.Errorf(
 					"core: %s entry %d mismatched (table %d rows %d cols %d; want %d/%d/%d)",
 					o.service, i, pe.TableID, pe.Rows, pe.Cols, e.tableID, o.batchItems, e.dim))
 				continue
 			}
-			o.collectors[e.tableID].deliver(tensor.FromSlice(int(pe.Rows), int(pe.Cols), pe.Data), nil)
+			o.collectors[e.tableID].deliver(&resp.Entries[i], nil)
 		}
 	}()
 	return nil

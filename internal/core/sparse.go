@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -336,18 +337,39 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 
 	if len(local) > 0 {
 		// Build and run the pooling net: one fused SLS over the locally
-		// held entries, executed through the framework so Net Overhead and
-		// operator spans are attributed exactly like the main shard's.
-		ws := nn.NewWorkspace()
-		sls := &nn.MultiSLS{OpName: "sls_" + s.ShardName}
+		// held entries' non-empty bags, executed through the framework so
+		// Net Overhead and operator spans are attributed exactly like the
+		// main shard's. Empty bags pool to +0, so they only clear their
+		// bit in the entry's row-presence bitmap and never travel.
+		bags, bitmapBytes := 0, 0
 		for _, le := range local {
-			bagsName := fmt.Sprintf("bags_%d", le.idx)
-			ws.SetBags(bagsName, le.entry.Bags)
-			sls.Entries = append(sls.Entries, nn.SLSEntry{
-				Table:     le.table,
-				InputBags: bagsName,
-				Output:    fmt.Sprintf("pooled_%d", le.idx),
-			})
+			bags += len(le.entry.Bags)
+			bitmapBytes += bitmapLen(len(le.entry.Bags))
+		}
+		bitmaps := make([]byte, bitmapBytes)
+		present := make([]embedding.Bag, 0, bags)
+		ws := nn.NewWorkspace()
+		sls := &nn.MultiSLS{OpName: "sls_" + s.ShardName, Entries: make([]nn.SLSEntry, len(local))}
+		for i, le := range local {
+			nb := bitmapLen(len(le.entry.Bags))
+			bitmap := bitmaps[:nb:nb]
+			bitmaps = bitmaps[nb:]
+			lo := len(present)
+			for b, bag := range le.entry.Bags {
+				if len(bag.Indices) > 0 {
+					bitmap[b>>3] |= 1 << (b & 7)
+					present = append(present, bag)
+				}
+			}
+			id := strconv.Itoa(le.idx)
+			sls.Entries[i] = nn.SLSEntry{Table: le.table, InputBags: "bags_" + id, Output: "pooled_" + id}
+			ws.SetBags(sls.Entries[i].InputBags, present[lo:len(present):len(present)])
+			results[le.idx] = PooledEntry{
+				TableID:   le.entry.TableID,
+				PartIndex: le.entry.PartIndex,
+				Rows:      int32(len(le.entry.Bags)),
+				Present:   bitmap,
+			}
 		}
 		netObs := &trace.NetObserver{R: s.rec, Ctx: ctx}
 		net := &nn.Net{NetName: req.Net, Ops: []nn.Op{sls}}
@@ -362,18 +384,13 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 		s.met.opNs.Observe(int64(opDur))
 		s.accountLoad(local, opDur)
 
-		for _, le := range local {
-			m, err := ws.Blob(fmt.Sprintf("pooled_%d", le.idx))
+		for i, le := range local {
+			m, err := ws.Blob(sls.Entries[i].Output)
 			if err != nil {
 				return nil, err
 			}
-			results[le.idx] = PooledEntry{
-				TableID:   le.entry.TableID,
-				PartIndex: le.entry.PartIndex,
-				Rows:      int32(m.Rows),
-				Cols:      int32(m.Cols),
-				Data:      m.Data,
-			}
+			results[le.idx].Cols = int32(m.Cols)
+			results[le.idx].Data = m.Data
 		}
 	}
 

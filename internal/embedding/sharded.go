@@ -1,9 +1,6 @@
 package embedding
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Part is one row-partition of a larger logical table. Logical row r lives
 // in part r % NumParts at local row r / NumParts — the paper's "simple
@@ -53,55 +50,4 @@ func (p *Part) LocalRow(logical int) int {
 		panic(fmt.Sprintf("embedding: row %d does not belong to part %d/%d", logical, p.Index, p.NumParts))
 	}
 	return logical / p.NumParts
-}
-
-// SplitBags routes each bag's logical indices to per-part bags with local
-// indices, preserving bag positions so per-part SLS outputs align. The
-// returned slice has numParts entries, each with len(bags) bags (possibly
-// empty). This is the ID-splitting step the RPC operator performs before
-// fanning out to the shards that hold a partitioned table.
-func SplitBags(bags []Bag, numParts int) [][]Bag {
-	out := make([][]Bag, numParts)
-	for p := range out {
-		out[p] = make([]Bag, len(bags))
-	}
-	for b, bag := range bags {
-		for _, idx := range bag.Indices {
-			p := int(idx) % numParts
-			local := idx / int32(numParts)
-			out[p][b].Indices = append(out[p][b].Indices, local)
-		}
-	}
-	return out
-}
-
-// MergePartial sums per-part SLS outputs into one pooled result. Each
-// partial must be len(out) long; parts with no hits contribute zeros.
-func MergePartial(out []float32, partials [][]float32) {
-	for i := range out {
-		out[i] = 0
-	}
-	for _, part := range partials {
-		if len(part) != len(out) {
-			panic(fmt.Sprintf("embedding: partial length %d != out %d", len(part), len(out)))
-		}
-		for i, v := range part {
-			out[i] += v
-		}
-	}
-}
-
-// NewDenseRandomRows is a convenience used by tests and model builders: it
-// creates a table whose row values encode the row index, making lookup
-// provenance checkable.
-func NewDenseRandomRows(rng *rand.Rand, rows, dim int) *Dense {
-	t := NewDense(rows, dim)
-	for r := 0; r < rows; r++ {
-		base := rng.Float32()
-		row := t.Row(r)
-		for c := range row {
-			row[c] = base + float32(r)*1e-4 + float32(c)*1e-6
-		}
-	}
-	return t
 }
