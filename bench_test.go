@@ -27,7 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/frontend"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/tensor"
 	"repro/internal/trace"
@@ -226,38 +225,6 @@ func BenchmarkDenseGEMM(b *testing.B) {
 			b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 	}
-}
-
-// BenchmarkFusedFC compares the fused FC+bias+ReLU operator against the
-// unfused FC → Activation pair it replaced in the engine's compiled MLP
-// stacks, at a batch-64 serving shape.
-func BenchmarkFusedFC(b *testing.B) {
-	in, w := denseOperands(64, 418, 256)
-	bias := make([]float32, 256)
-	ws := nn.NewWorkspace()
-	ws.SetBlob("in", in)
-	fused := &nn.FusedFC{OpName: "f", W: w, B: bias, Act: nn.ActReLU, Input: "in", Output: "out"}
-	fc := &nn.FC{OpName: "fc", W: w, B: bias, Input: "in", Output: "out"}
-	act := &nn.Activation{OpName: "act", Func: nn.ActReLU, Blob: "out"}
-	b.Run("fused", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := fused.Run(ws); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("unfused", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := fc.Run(ws); err != nil {
-				b.Fatal(err)
-			}
-			if err := act.Run(ws); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // nopExec is a zero-cost executor isolating the serving frontend's own

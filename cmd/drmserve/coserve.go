@@ -80,8 +80,8 @@ func parseTenantSpec(s string, d tenantFlagSpec) (tenantFlagSpec, error) {
 	if out.name == "" {
 		return out, fmt.Errorf("tenant spec %q has no name", s)
 	}
-	if !knownModel(out.model) {
-		return out, fmt.Errorf("tenant spec %q: unknown model %q (want %s)", s, out.model, strings.Join(model.Names(), ", "))
+	if err := model.CheckName(out.model); err != nil {
+		return out, fmt.Errorf("tenant spec %q: %w", s, err)
 	}
 	if !hasOpts {
 		return out, nil
@@ -121,17 +121,6 @@ func parseTenantSpec(s string, d tenantFlagSpec) (tenantFlagSpec, error) {
 		}
 	}
 	return out, nil
-}
-
-// knownModel reports whether name is a buildable model (model.ByName
-// panics on unknown names, so specs are validated first).
-func knownModel(name string) bool {
-	for _, n := range model.Names() {
-		if strings.EqualFold(n, name) {
-			return true
-		}
-	}
-	return false
 }
 
 // parseScale parses the -scale flag's "MODEL=N" ("", 0 when unset).

@@ -48,7 +48,6 @@ func main() {
 		shards    = flag.Int("shards", 2, "sparse shard count")
 		listen    = flag.String("listen", "127.0.0.1:0", "listen address")
 		modelFile = flag.String("model-file", "", "load a serialized model (from shardtool -save-model) instead of building")
-		shardFile = flag.String("shard-file", "", "sparse role: serve directly from a shard file (shardtool -export-shards)")
 		shardDir  = flag.String("shard-dir", "", "sparse role: serve from the v2 shard file <dir>/<model>.shardN, mmap-backed (shardtool export-v2)")
 		peers     = flag.String("peers", "", "main role: comma-separated sparseN=host:port bindings; repeat a name to add hedge replicas")
 		netDelay  = flag.Bool("netsim", false, "inject data-center link latency")
@@ -132,6 +131,9 @@ func main() {
 	var tier *core.TierConfig
 	modelName := models.primary()
 	if *role != "coserve" {
+		if err := model.CheckName(modelName); err != nil {
+			fatal(err)
+		}
 		if *modelFile != "" {
 			f, err := os.Open(*modelFile)
 			if err != nil {
@@ -182,10 +184,6 @@ func main() {
 	case "sparse":
 		if *shardDir != "" {
 			srv, shutdown, err = serveSparseFromDir(*shardDir, modelName, *shardNum, *listen, *netDelay, tier, reg)
-			break
-		}
-		if *shardFile != "" {
-			srv, err = serveSparseFromFile(*shardFile, *listen, *netDelay, tier, reg)
 			break
 		}
 		srv, err = serveSparse(m, plan, *shardNum, *listen, *netDelay, tier, reg)
@@ -254,8 +252,6 @@ func main() {
 		// serveCoserve already printed the fleet banner.
 	case *shardDir != "":
 		fmt.Printf("drmserve: sparse shard (mmap from %s) on %s\n", *shardDir, srv.Addr())
-	case *shardFile != "":
-		fmt.Printf("drmserve: sparse shard (from %s) on %s\n", *shardFile, srv.Addr())
 	default:
 		fmt.Printf("drmserve: %s shard serving %s (%s) on %s\n", *role, modelName, plan.Name(), srv.Addr())
 	}
@@ -321,32 +317,6 @@ func serveSparseFromDir(dir, modelName string, shard int, listen string, sim boo
 		return nil, nil, err
 	}
 	return srv, func() { closer.Close() }, nil
-}
-
-// serveSparseFromFile boots a sparse shard straight from a shard file —
-// the shard never materializes the rest of the model.
-func serveSparseFromFile(path, listen string, sim bool, tier *core.TierConfig, reg *obs.Registry) (*rpc.Server, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rec := trace.NewRecorder("sparse", 1<<16)
-	sh, shard, err := core.ImportShard(f, rec)
-	if err != nil {
-		return nil, err
-	}
-	if tier != nil {
-		sh.SetTier(tier)
-	}
-	sh.SetObs(reg)
-	cfg := rpc.ServerConfig{Recorder: rec, BoilerplateCost: platform.BaseBoilerplate}
-	if sim {
-		cfg.ResponseLink = platform.SCLarge().Network(int64(shard)).Response
-	}
-	fmt.Printf("drmserve: %s loaded from %s: %d tables/parts, %.1f MiB\n",
-		sh.ShardName, path, sh.NumTables(), float64(sh.Bytes())/(1<<20))
-	return rpc.NewServer(listen, sh, cfg)
 }
 
 func serveSparse(m *model.Model, plan *sharding.Plan, shard int, listen string, sim bool, tier *core.TierConfig, reg *obs.Registry) (*rpc.Server, error) {

@@ -35,6 +35,9 @@ func main() {
 		slaQ      = flag.Float64("sla-quantile", 0.99, "SLA target quantile")
 	)
 	flag.Parse()
+	if err := model.CheckName(*modelName); err != nil {
+		fatal(err)
+	}
 
 	client, err := rpc.Dial(*addr, nil)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Shard-file freshness subcommands: export-v2 writes the mmap-able
-// persistent format, convert upgrades v1 exports in place, delta-diff
-// previews the row delta a publish would stream between two shard files.
+// persistent format, delta-diff previews the row delta a publish would
+// stream between two shard files.
 package main
 
 import (
@@ -24,8 +24,6 @@ func dispatchSubcommand(args []string) bool {
 	switch args[0] {
 	case "export-v2":
 		runExportV2(args[1:])
-	case "convert":
-		runConvert(args[1:])
 	case "delta-diff":
 		runDeltaDiff(args[1:])
 	default:
@@ -53,6 +51,9 @@ func runExportV2(args []string) {
 	}
 	if *dir == "" {
 		fatal(fmt.Errorf("export-v2: -dir is required"))
+	}
+	if err := model.CheckName(*modelName); err != nil {
+		fatal(err)
 	}
 	cfg := model.ByName(*modelName)
 	pooling := workload.EstimatePooling(workload.NewGenerator(cfg, 991), *samples)
@@ -94,43 +95,6 @@ func runExportV2(args []string) {
 		}
 		fmt.Printf("wrote %s (%.1f MiB)\n", path, float64(st.Size())/(1<<20))
 	}
-}
-
-// runConvert upgrades a v1 shard file to v2 (fp32 sections, page-aligned
-// and checksummed) so existing exports gain the mmap boot path.
-func runConvert(args []string) {
-	fs := flag.NewFlagSet("shardtool convert", flag.ExitOnError)
-	var (
-		in  = fs.String("in", "", "input shard file, v1 or v2 fp32 (required)")
-		out = fs.String("out", "", "output v2 shard file (required)")
-	)
-	if err := fs.Parse(args); err != nil {
-		fatal(err)
-	}
-	if *in == "" || *out == "" {
-		fatal(fmt.Errorf("convert: -in and -out are required"))
-	}
-	data, err := os.ReadFile(*in)
-	if err != nil {
-		fatal(err)
-	}
-	sf, err := core.LoadShardFile(data)
-	if err != nil {
-		fatal(err)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
-	}
-	if err := core.WriteShardFileV2(sf, f, nil); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("converted %s (shard %d, %d tables/parts) to v2 at %s\n",
-		*in, sf.Shard, len(sf.Tables), *out)
 }
 
 // runDeltaDiff compares two shard files of the same shard and reports,

@@ -10,10 +10,9 @@
 //	shardtool -model DRM1 -all        # the full Table II sweep
 //	shardtool -model DRM3 -strategy NSBP -shards 4 -v   # per-shard tables
 //
-// Freshness subcommands (persistent v2 shard files):
+// Freshness subcommands (persistent, mmap-able shard files):
 //
 //	shardtool export-v2 -model DRM2 -strategy NSBP -shards 4 -dir out/ -cold-precision int8
-//	shardtool convert -in old.shard1 -out new.shard1
 //	shardtool delta-diff old.shard1 new.shard1
 package main
 
@@ -22,7 +21,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/sharding"
 	"repro/internal/workload"
@@ -43,18 +41,13 @@ func main() {
 		samples   = flag.Int("samples", 200, "requests sampled for pooling estimation")
 		verbose   = flag.Bool("v", false, "list per-shard table assignments")
 		saveModel = flag.String("save-model", "", "serialize the built model to this file (paper §III-C publishing step)")
-		exportPfx = flag.String("export-shards", "", "write per-shard files <prefix>.shardN for the selected plan (§III-A1 resharding)")
 	)
 	flag.Parse()
-
-	valid := false
-	for _, n := range model.Names() {
-		if n == *modelName {
-			valid = true
-		}
+	if flag.NArg() > 0 {
+		fatal(fmt.Errorf("unknown subcommand %q (want export-v2 or delta-diff)", flag.Arg(0)))
 	}
-	if !valid {
-		fatal(fmt.Errorf("unknown model %q (want one of %v)", *modelName, model.Names()))
+	if err := model.CheckName(*modelName); err != nil {
+		fatal(err)
 	}
 	cfg := model.ByName(*modelName)
 	pooling := workload.EstimatePooling(workload.NewGenerator(cfg, 991), *samples)
@@ -100,28 +93,6 @@ func main() {
 			fatal(err)
 		}
 		plans = []*sharding.Plan{p}
-	}
-
-	if *exportPfx != "" {
-		if len(plans) != 1 || !plans[0].IsDistributed() {
-			fatal(fmt.Errorf("-export-shards needs a single distributed plan (not -all/singular)"))
-		}
-		m := model.Build(cfg)
-		for shard := 1; shard <= plans[0].NumShards; shard++ {
-			path := fmt.Sprintf("%s.shard%d", *exportPfx, shard)
-			f, err := os.Create(path)
-			if err != nil {
-				fatal(err)
-			}
-			if err := core.ExportShard(m, plans[0], shard, f); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
 	}
 
 	fmt.Print(sharding.Report(&cfg, plans, pooling))

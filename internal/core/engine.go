@@ -419,8 +419,8 @@ func (e *Engine) compileOps(plan *sharding.Plan, np *netProgram, prevOut string)
 
 	// --- postOps: projection, interaction, top MLP, output head. The FC
 	// stacks compile to FusedFC: bias and activation run inside the GEMM
-	// workers' tile epilogues (bitwise identical to the FC → Activation
-	// pairs they replace), and outputs draw from the workspace arena. ---
+	// workers' tile epilogues (bitwise identical to separate bias and
+	// activation passes), and outputs draw from the workspace arena. ---
 	var post []nn.Op
 	post = append(post, &nn.FusedFC{OpName: "fc_proj_" + netName, W: np.params.Proj.W, B: np.params.Proj.B, Input: np.embBlob, Output: "proj_" + netName})
 	inter := &nn.Interaction{OpName: "interact_" + netName, Passthrough: bottom, Output: "int_" + netName}

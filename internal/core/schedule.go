@@ -68,9 +68,6 @@ func buildSchedule(prog *engineProgram) (*nn.BlobSchedule, error) {
 			use(o.Blob)
 		case *nn.Activation:
 			use(o.Blob)
-		case *nn.FC:
-			use(o.Input)
-			define(o.Output, o.W.Cols)
 		case *nn.FusedFC:
 			use(o.Input)
 			define(o.Output, o.W.Cols)
@@ -87,9 +84,6 @@ func buildSchedule(prog *engineProgram) (*nn.BlobSchedule, error) {
 			if cols > 0 {
 				define(o.Output, cols)
 			}
-		case *nn.SplitBlob:
-			use(o.Input)
-			define(o.Output, o.ToCol-o.FromCol)
 		case *nn.AllocEmb:
 			define(o.Output, o.Cols)
 		case *nn.FusedSLS:

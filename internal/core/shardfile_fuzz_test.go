@@ -8,13 +8,13 @@ import (
 	"repro/internal/sharding"
 )
 
-// FuzzImportShard hammers the shard-file importers — both the v1
-// row-stream format and the v2 page-aligned persistent format — with
-// arbitrary bytes. Any input must either be rejected with an error or
-// parse into tables that are fully servable: no panics, no unbounded
-// allocations, no table whose lookup path crashes. The seed corpus
-// (testdata/fuzz/FuzzImportShard) commits real exports of both
-// versions so exploration starts from deep inside the format.
+// FuzzImportShard hammers the shard-file loader with arbitrary bytes.
+// Any input must either be rejected with an error or parse into tables
+// that are fully servable: no panics, no unbounded allocations, no table
+// whose lookup path crashes. The seed corpus
+// (testdata/fuzz/FuzzImportShard) commits real exports so exploration
+// starts from deep inside the format; its version-1 file drives the
+// unsupported-version rejection.
 func FuzzImportShard(f *testing.F) {
 	// Shrink far below tinyConfig: seed inputs bound mutation cost, and
 	// the format's structure is fully represented at this size.
@@ -29,21 +29,21 @@ func FuzzImportShard(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var v1, v2, v2q bytes.Buffer
-	if err := ExportShard(m, plan, 1, &v1); err != nil {
-		f.Fatal(err)
-	}
+	var v2, v2h, v2q bytes.Buffer
 	if err := ExportShardV2(m, plan, 1, &v2, nil); err != nil {
 		f.Fatal(err)
 	}
-	tier := sharding.PlanTiers(&cfg, sharding.TierOptions{
-		ColdPrecision: sharding.PrecisionInt8, MinTableBytes: 1,
-	})
-	if err := ExportShardV2(m, plan, 2, &v2q, tier); err != nil {
-		f.Fatal(err)
+	for _, seed := range []struct {
+		prec sharding.Precision
+		out  *bytes.Buffer
+	}{{sharding.PrecisionFP16, &v2h}, {sharding.PrecisionInt8, &v2q}} {
+		tier := sharding.PlanTiers(&cfg, sharding.TierOptions{ColdPrecision: seed.prec, MinTableBytes: 1})
+		if err := ExportShardV2(m, plan, 2, seed.out, tier); err != nil {
+			f.Fatal(err)
+		}
 	}
-	f.Add(v1.Bytes())
 	f.Add(v2.Bytes())
+	f.Add(v2h.Bytes())
 	f.Add(v2q.Bytes())
 	f.Add(v2.Bytes()[:len(v2.Bytes())/2]) // mid-section truncation
 	f.Add([]byte("DRSH"))

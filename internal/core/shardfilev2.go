@@ -2,8 +2,8 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -18,14 +18,19 @@ import (
 	"repro/internal/trace"
 )
 
-// Version-2 shard files: the persistent-table half of the model-freshness
-// refactor. Where v1 is a plain fp32 row stream a shard must copy into
-// heap tables at boot, v2 lays every table section out page-aligned with
-// a per-section CRC, in the table's *serving* encoding (fp32, fp16, or
-// int8 via the quant codecs) — so a booting shard memory-maps the file
-// and serves lookups straight from the page cache. Boot becomes
-// mmap-and-serve instead of regenerate-everything, and the bytes on disk
-// are bit-identical to what MaterializeShardsTiered would have built.
+// Per-shard model files — the publishing flow of Section III-A1: "After
+// training, during model publishing, parameters are resharded and
+// serialized from parameter servers to the respective inference shard
+// based on a prior partitioning phase." ExportShardV2 writes exactly the
+// tables (and row-partitions) one sparse shard serves, so a shard process
+// loads megabytes instead of the whole model.
+//
+// The file lays every table section out page-aligned with a per-section
+// CRC, in the table's *serving* encoding (fp32, fp16, or int8 via the
+// quant codecs) — so a booting shard memory-maps the file and serves
+// lookups straight from the page cache. Boot becomes mmap-and-serve
+// instead of regenerate-everything, and the bytes on disk are
+// bit-identical to what MaterializeShardsTiered would have built.
 //
 // Layout (all integers little-endian):
 //
@@ -39,11 +44,17 @@ import (
 //	    fp16: data = rows×dim binary16 values       (no hdr)
 //	    int8: hdr  = rows fp16 scales ++ rows fp16 biases
 //	          data = rows×stride packed codes
+//
+// Version 2 is the only version; files of any other version are
+// rejected.
 const (
+	shardMagic        = "DRSH"
 	shardVersion2     = 2
 	shardAlign        = 4096
 	shardDirEntrySize = 64
 )
+
+var errBadShardFile = errors.New("core: malformed shard file")
 
 // alignUp rounds off up to the next section boundary.
 func alignUp(off int64) int64 { return (off + shardAlign - 1) &^ int64(shardAlign-1) }
@@ -140,29 +151,6 @@ func ExportShardV2(m *model.Model, plan *sharding.Plan, shard int, w io.Writer, 
 	if err != nil {
 		return err
 	}
-	return writeShardV2(shard, units, w, tier)
-}
-
-// WriteShardFileV2 re-serializes a parsed shard file in the v2 format —
-// the shardtool convert path that upgrades v1 exports in place. Source
-// tables must hold fp32 rows (v1 files always do); already-encoded
-// tables should be re-exported from the model instead.
-func WriteShardFileV2(sf *ShardFileData, w io.Writer, tier *sharding.TierPlan) error {
-	units := make([]shardUnit, 0, len(sf.Tables))
-	for _, t := range sf.Tables {
-		dense, ok := t.Table.(*embedding.Dense)
-		if !ok {
-			return fmt.Errorf("core: table %d part %d is %T, not fp32; re-export from the model", t.TableID, t.PartIndex, t.Table)
-		}
-		units = append(units, shardUnit{
-			tableID: t.TableID, partIndex: t.PartIndex, numParts: t.NumParts, dense: dense,
-		})
-	}
-	return writeShardV2(sf.Shard, units, w, tier)
-}
-
-// writeShardV2 lays the units out and writes the complete v2 image.
-func writeShardV2(shard int, units []shardUnit, w io.Writer, tier *sharding.TierPlan) error {
 	type section struct {
 		u               shardUnit
 		enc             int32
@@ -293,7 +281,7 @@ func parseShardV2(data []byte, views bool) (*ShardFileData, error) {
 		return nil, fmt.Errorf("%w: bad magic", errBadShardFile)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != shardVersion2 {
-		return nil, fmt.Errorf("%w: version %d, want %d", errBadShardFile, v, shardVersion2)
+		return nil, fmt.Errorf("%w: unsupported version %d", errBadShardFile, v)
 	}
 	shard := int(binary.LittleEndian.Uint32(data[8:]))
 	count := int(binary.LittleEndian.Uint32(data[12:]))
@@ -418,100 +406,30 @@ func buildTable(t ShardTable, hdr, data []byte, views bool) (embedding.Table, er
 	return nil, fmt.Errorf("unknown encoding %d", t.Enc)
 }
 
-// parseShardV1 parses a complete v1 file image into the structured form,
-// so tooling (convert, delta-diff) treats both versions uniformly. v1
-// stores only fp32 dense rows.
-func parseShardV1(data []byte) (*ShardFileData, error) {
-	if len(data) < 16 || string(data[:4]) != shardMagic {
-		return nil, fmt.Errorf("%w: bad magic", errBadShardFile)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != shardVersion {
-		return nil, fmt.Errorf("%w: version %d, want %d", errBadShardFile, v, shardVersion)
-	}
-	shard := int(binary.LittleEndian.Uint32(data[8:]))
-	count := int(binary.LittleEndian.Uint32(data[12:]))
-	if shard < 1 || count < 0 || count > 1<<16 {
-		return nil, fmt.Errorf("%w: shard %d, %d entries", errBadShardFile, shard, count)
-	}
-	out := &ShardFileData{Shard: shard, Tables: make([]ShardTable, 0, count)}
-	off := 16
-	for i := 0; i < count; i++ {
-		if len(data)-off < 20 {
-			return nil, fmt.Errorf("%w: entry %d meta truncated", errBadShardFile, i)
-		}
-		t := ShardTable{
-			TableID:   int(binary.LittleEndian.Uint32(data[off:])),
-			PartIndex: int(binary.LittleEndian.Uint32(data[off+4:])),
-			NumParts:  int(binary.LittleEndian.Uint32(data[off+8:])),
-			Rows:      int(binary.LittleEndian.Uint32(data[off+12:])),
-			Dim:       int(binary.LittleEndian.Uint32(data[off+16:])),
-			Enc:       TierEncFP32,
-		}
-		off += 20
-		if t.Rows <= 0 || t.Dim <= 0 || t.Rows > 1<<28 || t.Dim > 1<<12 ||
-			t.NumParts < 1 || t.PartIndex < 0 || t.PartIndex >= t.NumParts {
-			return nil, fmt.Errorf("%w: entry %d shape %dx%d part %d/%d", errBadShardFile, i, t.Rows, t.Dim, t.PartIndex, t.NumParts)
-		}
-		n := 4 * t.Rows * t.Dim
-		if len(data)-off < n {
-			return nil, fmt.Errorf("%w: entry %d data truncated", errBadShardFile, i)
-		}
-		t.Table = &embedding.Dense{RowsN: t.Rows, DimN: t.Dim, Data: mmapfile.DecodeF32(data[off : off+n])}
-		off += n
-		out.Tables = append(out.Tables, t)
-	}
-	return out, nil
-}
-
-// LoadShardFile parses a shard file (v1 or v2) entirely into the heap —
-// the tooling path (convert, delta-diff, fuzzing) where table storage
-// must not alias a short-lived mapping.
+// LoadShardFile parses a shard file entirely into the heap — the
+// tooling path (delta-diff, fuzzing) where table storage must not alias a
+// short-lived mapping.
 func LoadShardFile(data []byte) (*ShardFileData, error) {
-	if len(data) < 16 || string(data[:4]) != shardMagic {
-		return nil, fmt.Errorf("%w: bad magic", errBadShardFile)
-	}
-	switch v := binary.LittleEndian.Uint32(data[4:]); v {
-	case shardVersion:
-		return parseShardV1(data)
-	case shardVersion2:
-		return parseShardV2(data, false)
-	default:
-		return nil, fmt.Errorf("%w: unsupported version %d", errBadShardFile, v)
-	}
+	return parseShardV2(data, false)
 }
 
 // nopCloser is the closer OpenShardFile returns when the shard's tables
-// own their storage (heap decode or v1 import).
+// own their storage (heap decode).
 type nopCloser struct{}
 
 func (nopCloser) Close() error { return nil }
 
 // OpenShardFile boots a serving shard from a shard file, memory-mapping
-// v2 files so table storage is served from the page cache (v1 files and
-// big-endian hosts decode into the heap). The returned closer owns the
-// mapping and must be closed only after the shard stops serving.
+// it so table storage is served from the page cache (big-endian hosts
+// decode into the heap). The returned closer owns the mapping and must be
+// closed only after the shard stops serving.
 func OpenShardFile(path string, rec *trace.Recorder) (sh *SparseShard, shard int, closer io.Closer, err error) {
 	mf, err := mmapfile.Open(path)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	data := mf.Bytes()
-	if len(data) < 16 || string(data[:4]) != shardMagic {
-		mf.Close()
-		return nil, 0, nil, fmt.Errorf("%w: bad magic", errBadShardFile)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != shardVersion2 {
-		// v1 (or future versions ImportShard learns first): decode into
-		// the heap; the mapping is not needed after import.
-		defer mf.Close()
-		sh, shard, err = ImportShard(bytes.NewReader(data), rec)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		return sh, shard, nopCloser{}, nil
-	}
 	views := mmapfile.ViewsUsable()
-	sf, err := parseShardV2(data, views)
+	sf, err := parseShardV2(mf.Bytes(), views)
 	if err != nil {
 		mf.Close()
 		return nil, 0, nil, err

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -64,7 +66,7 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
-// TestExportImportShardV2Identity proves a v2 import serves bitwise the
+// TestExportImportShardV2Identity proves a loaded shard file serves bitwise the
 // same lookups as in-memory materialization at every cold precision,
 // over both whole tables and row partitions.
 func TestExportImportShardV2Identity(t *testing.T) {
@@ -90,17 +92,7 @@ func TestExportImportShardV2Identity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for shard := 1; shard <= plan.NumShards; shard++ {
-				var buf bytes.Buffer
-				if err := ExportShardV2(m, plan, shard, &buf, tier.Plan); err != nil {
-					t.Fatal(err)
-				}
-				sh, gotShard, err := ImportShard(bytes.NewReader(buf.Bytes()), trace.NewRecorder("x", 64))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotShard != shard {
-					t.Fatalf("imported shard %d, want %d", gotShard, shard)
-				}
+				sh := exportLoad(t, m, plan, shard, tier.Plan)
 				compareShards(t, &cfg, &plan.Shards[shard-1], sh, want[shard-1])
 			}
 		})
@@ -108,7 +100,7 @@ func TestExportImportShardV2Identity(t *testing.T) {
 }
 
 // TestOpenShardFileMmap proves the zero-copy mmap boot path serves the
-// same bytes as the heap import, for both file versions.
+// same bytes as the heap load.
 func TestOpenShardFileMmap(t *testing.T) {
 	cfg := tinyConfig()
 	m := model.Build(cfg)
@@ -117,10 +109,8 @@ func TestOpenShardFileMmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	tier := tierConfigFor(&cfg, sharding.PrecisionInt8, 0)
-	dir := t.TempDir()
-
-	v2path := filepath.Join(dir, "v2.shard1")
-	f, err := os.Create(v2path)
+	path := filepath.Join(t.TempDir(), "v2.shard1")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,15 +120,7 @@ func TestOpenShardFileMmap(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(v2path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap, _, err := ImportShard(bytes.NewReader(raw), trace.NewRecorder("x", 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, shard, closer, err := OpenShardFile(v2path, trace.NewRecorder("x", 64))
+	sh, shard, closer, err := OpenShardFile(path, trace.NewRecorder("x", 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,37 +128,7 @@ func TestOpenShardFileMmap(t *testing.T) {
 	if shard != 1 {
 		t.Fatalf("opened shard %d, want 1", shard)
 	}
-	compareShards(t, &cfg, &plan.Shards[0], sh, heap)
-
-	// v1 files open through the same entry point (heap decode).
-	v1path := filepath.Join(dir, "v1.shard2")
-	f, err = os.Create(v1path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ExportShard(m, plan, 2, f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	shV1, shardV1, closerV1, err := OpenShardFile(v1path, trace.NewRecorder("x", 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closerV1.Close()
-	if shardV1 != 2 {
-		t.Fatalf("opened shard %d, want 2", shardV1)
-	}
-	var buf bytes.Buffer
-	if err := ExportShard(m, plan, 2, &buf); err != nil {
-		t.Fatal(err)
-	}
-	heapV1, _, err := ImportShard(&buf, trace.NewRecorder("x", 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareShards(t, &cfg, &plan.Shards[1], shV1, heapV1)
+	compareShards(t, &cfg, &plan.Shards[0], sh, exportLoad(t, m, plan, 1, tier.Plan))
 }
 
 // TestShardFileV2RejectsCorruption flips bytes across the file and
@@ -195,7 +147,6 @@ func TestShardFileV2RejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	rec := trace.NewRecorder("x", 4)
 
 	if _, err := LoadShardFile(full); err != nil {
 		t.Fatalf("pristine file rejected: %v", err)
@@ -208,9 +159,6 @@ func TestShardFileV2RejectsCorruption(t *testing.T) {
 		if _, err := LoadShardFile(bad); err == nil {
 			t.Errorf("corruption at byte %d accepted", pos)
 		}
-		if _, _, err := ImportShard(bytes.NewReader(bad), rec); err == nil {
-			t.Errorf("ImportShard accepted corruption at byte %d", pos)
-		}
 	}
 	for _, cut := range []int{15, 40, shardAlign + 5, len(full) - 3} {
 		if _, err := LoadShardFile(full[:cut]); err == nil {
@@ -219,8 +167,8 @@ func TestShardFileV2RejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestLoadShardFileVersions checks the tooling loader reads both
-// versions into the same structured form.
+// TestLoadShardFileVersions checks both loaders reject every version but
+// 2 — a version-1 row stream included — as a malformed shard file.
 func TestLoadShardFileVersions(t *testing.T) {
 	cfg := tinyConfig()
 	m := model.Build(cfg)
@@ -228,33 +176,25 @@ func TestLoadShardFileVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v1, v2 bytes.Buffer
-	if err := ExportShard(m, plan, 1, &v1); err != nil {
+	var buf bytes.Buffer
+	if err := ExportShardV2(m, plan, 1, &buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := ExportShardV2(m, plan, 1, &v2, nil); err != nil {
-		t.Fatal(err)
-	}
-	a, err := LoadShardFile(v1.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadShardFile(v2.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Shard != b.Shard || len(a.Tables) != len(b.Tables) {
-		t.Fatalf("v1 %d tables shard %d, v2 %d tables shard %d", len(a.Tables), a.Shard, len(b.Tables), b.Shard)
-	}
-	for i := range a.Tables {
-		ta, tb := a.Tables[i], b.Tables[i]
-		if ta.TableID != tb.TableID || ta.Rows != tb.Rows || ta.Dim != tb.Dim || ta.Enc != tb.Enc {
-			t.Fatalf("entry %d differs: %+v vs %+v", i, ta, tb)
+	path := filepath.Join(t.TempDir(), "shard1")
+	for _, v := range []uint32{1, 3} {
+		data := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint32(data[4:], v)
+		if _, err := LoadShardFile(data); !errors.Is(err, errBadShardFile) {
+			t.Errorf("LoadShardFile version %d: got %v, want errBadShardFile", v, err)
 		}
-		da := ta.Table.(*embedding.Dense)
-		db := tb.Table.(*embedding.Dense)
-		if !bitsEqual(da.Data, db.Data) {
-			t.Fatalf("entry %d rows differ between versions", i)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, closer, err := OpenShardFile(path, trace.NewRecorder("x", 4)); !errors.Is(err, errBadShardFile) {
+			if err == nil {
+				closer.Close()
+			}
+			t.Errorf("OpenShardFile version %d: got %v, want errBadShardFile", v, err)
 		}
 	}
 }

@@ -164,7 +164,7 @@ func (st *stagedTable) table() (embedding.Table, error) {
 }
 
 // SetTier enables tiered storage, re-wrapping any already-installed
-// tables (drmserve's shard-file path imports first, tiers second) and
+// tables (drmserve's -shard-dir path opens first, tiers second) and
 // apportioning the cache budget.
 func (s *SparseShard) SetTier(cfg *TierConfig) {
 	s.mu.Lock()

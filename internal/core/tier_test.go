@@ -170,8 +170,8 @@ func TestTieredShardMatchesPlainFP32(t *testing.T) {
 	}
 }
 
-// TestSetTierWrapsImportedTables covers drmserve's shard-file path:
-// import plain fp32 tables, then SetTier encodes and caches them.
+// TestSetTierWrapsImportedTables covers drmserve's -shard-dir path:
+// install plain fp32 tables, then SetTier encodes and caches them.
 func TestSetTierWrapsImportedTables(t *testing.T) {
 	cfg := tinyConfig()
 	m := model.Build(cfg)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 )
 
 // Scale notes: the paper's models were themselves scaled down to fit a
@@ -166,18 +167,31 @@ func DRM3() Config {
 	}
 }
 
+// builders is the model-name table: ByName builds from it and CheckName
+// validates against it, so a name passes the check exactly when ByName
+// accepts it.
+var builders = map[string]func() Config{
+	"DRM1": DRM1, "drm1": DRM1,
+	"DRM2": DRM2, "drm2": DRM2,
+	"DRM3": DRM3, "drm3": DRM3,
+}
+
 // ByName returns the named model config; it panics on unknown names,
-// which is a CLI-input error callers should pre-validate with Names.
+// which is a CLI-input error callers should pre-validate with CheckName.
 func ByName(name string) Config {
-	switch name {
-	case "DRM1", "drm1":
-		return DRM1()
-	case "DRM2", "drm2":
-		return DRM2()
-	case "DRM3", "drm3":
-		return DRM3()
+	build, ok := builders[name]
+	if !ok {
+		panic("model: " + CheckName(name).Error())
 	}
-	panic(fmt.Sprintf("model: unknown model %q (want DRM1, DRM2, or DRM3)", name))
+	return build()
+}
+
+// CheckName returns a one-line error unless ByName accepts name.
+func CheckName(name string) error {
+	if _, ok := builders[name]; ok {
+		return nil
+	}
+	return fmt.Errorf("unknown model %q (want %s)", name, strings.Join(Names(), ", "))
 }
 
 // Names lists the available model names.

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/embedding"
@@ -176,6 +177,28 @@ func TestByNameAndNames(t *testing.T) {
 		}
 	}()
 	ByName("nope")
+}
+
+// TestCheckNameMatchesByName pins the CLI check to ByName: a name passes
+// exactly when ByName builds it without panicking.
+func TestCheckNameMatchesByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ok   bool
+	}{{"DRM1", true}, {"drm1", true}, {"Drm1", false}, {"DRM9", false}, {"", false}} {
+		built := func() (ok bool) {
+			defer func() { ok = recover() == nil }()
+			ByName(tc.name)
+			return
+		}()
+		err := CheckName(tc.name)
+		if (err == nil) != tc.ok || built != tc.ok {
+			t.Errorf("%q: CheckName err %v, ByName built %v; want accepted=%v", tc.name, err, built, tc.ok)
+		}
+		if err != nil && strings.Contains(err.Error(), "\n") {
+			t.Errorf("%q: error spans lines: %q", tc.name, err)
+		}
+	}
 }
 
 func TestBuildPanicsOnBadIDs(t *testing.T) {

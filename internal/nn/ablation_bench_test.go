@@ -91,8 +91,9 @@ func BenchmarkFCProjectionShapes(b *testing.B) {
 			for i := range w {
 				w[i] = rng.Float32()
 			}
-			op := &FC{
+			op := &FusedFC{
 				OpName: "fc",
+				Act:    ActNone,
 				W:      tensor.FromSlice(shape.in, shape.out, w),
 				Input:  "in", Output: "out",
 			}

@@ -100,7 +100,7 @@ func TestWaitAllCollectsErrors(t *testing.T) {
 func TestFCKnownValues(t *testing.T) {
 	ws := NewWorkspace()
 	ws.SetBlob("in", tensor.FromSlice(1, 2, []float32{1, 2}))
-	op := &FC{
+	op := &FusedFC{
 		OpName: "fc1",
 		W:      tensor.FromSlice(2, 2, []float32{1, 0, 0, 1}),
 		B:      []float32{10, 20},
@@ -121,14 +121,14 @@ func TestFCKnownValues(t *testing.T) {
 func TestFCShapeError(t *testing.T) {
 	ws := NewWorkspace()
 	ws.SetBlob("in", tensor.New(1, 3))
-	op := &FC{OpName: "fc", W: tensor.New(2, 2), Input: "in", Output: "out"}
+	op := &FusedFC{OpName: "fc", W: tensor.New(2, 2), Input: "in", Output: "out"}
 	if err := op.Run(ws); err == nil {
 		t.Error("expected shape error")
 	}
 }
 
 func TestFCMissingInput(t *testing.T) {
-	op := &FC{OpName: "fc", W: tensor.New(2, 2), Input: "nope", Output: "out"}
+	op := &FusedFC{OpName: "fc", W: tensor.New(2, 2), Input: "nope", Output: "out"}
 	if err := op.Run(NewWorkspace()); err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Errorf("error should name missing blob: %v", err)
 	}
@@ -179,25 +179,49 @@ func TestScaleClip(t *testing.T) {
 
 func TestHashBagsDeterministicAndInRange(t *testing.T) {
 	ws := NewWorkspace()
-	ws.SetBags("raw", []embedding.Bag{{Indices: []int32{12345, 67890, -5}}})
-	op := &HashBags{OpName: "hash", Buckets: 100, Input: "raw", Output: "hashed"}
+	ws.SetBags("raw_a", []embedding.Bag{{Indices: []int32{12345, 67890, -5}}, {}})
+	ws.SetBags("raw_b", []embedding.Bag{{Indices: []int32{7}}})
+	op := &HashAllBags{OpName: "hash", Entries: []HashEntry{
+		{Buckets: 100, Input: "raw_a", Output: "hashed_a"},
+		{Buckets: 3, Input: "raw_b", Output: "hashed_b"},
+	}}
 	if err := op.Run(ws); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := ws.Bags("hashed")
-	for _, idx := range got[0].Indices {
-		if idx < 0 || idx >= 100 {
-			t.Errorf("hashed index %d out of range", idx)
+	if op.Kind() != KindHash {
+		t.Error("hash kind should be Hash")
+	}
+	var first [][]embedding.Bag
+	for _, e := range op.Entries {
+		got, _ := ws.Bags(e.Output)
+		raw, _ := ws.Bags(e.Input)
+		if len(got) != len(raw) {
+			t.Fatalf("%s: %d bags, want %d", e.Output, len(got), len(raw))
 		}
+		for b := range got {
+			if len(got[b].Indices) != len(raw[b].Indices) {
+				t.Errorf("%s bag %d: %d indices, want %d", e.Output, b, len(got[b].Indices), len(raw[b].Indices))
+			}
+			for _, idx := range got[b].Indices {
+				if idx < 0 || idx >= e.Buckets {
+					t.Errorf("%s: hashed index %d outside [0, %d)", e.Output, idx, e.Buckets)
+				}
+			}
+		}
+		first = append(first, got)
 	}
 	// Determinism.
 	if err := op.Run(ws); err != nil {
 		t.Fatal(err)
 	}
-	again, _ := ws.Bags("hashed")
-	for i := range got[0].Indices {
-		if got[0].Indices[i] != again[0].Indices[i] {
-			t.Error("hashing should be deterministic")
+	for i, e := range op.Entries {
+		again, _ := ws.Bags(e.Output)
+		for b := range again {
+			for k := range again[b].Indices {
+				if again[b].Indices[k] != first[i][b].Indices[k] {
+					t.Errorf("%s: hashing should be deterministic", e.Output)
+				}
+			}
 		}
 	}
 }
@@ -205,25 +229,13 @@ func TestHashBagsDeterministicAndInRange(t *testing.T) {
 func TestHashBagsValidation(t *testing.T) {
 	ws := NewWorkspace()
 	ws.SetBags("raw", []embedding.Bag{})
-	op := &HashBags{OpName: "hash", Buckets: 0, Input: "raw", Output: "h"}
+	op := &HashAllBags{OpName: "hash", Entries: []HashEntry{{Buckets: 0, Input: "raw", Output: "h"}}}
 	if err := op.Run(ws); err == nil {
 		t.Error("zero buckets should error")
 	}
-	op2 := &HashBags{OpName: "hash", Buckets: 10, Input: "missing", Output: "h"}
-	if err := op2.Run(ws); err == nil {
-		t.Error("missing input should error")
-	}
-}
-
-func TestFill(t *testing.T) {
-	ws := NewWorkspace()
-	op := &Fill{OpName: "fill", Rows: 2, Cols: 3, Value: 7, Output: "f"}
-	if err := op.Run(ws); err != nil {
-		t.Fatal(err)
-	}
-	m, _ := ws.Blob("f")
-	if m.Rows != 2 || m.Cols != 3 || m.Data[5] != 7 {
-		t.Errorf("Fill = %v", m)
+	op2 := &HashAllBags{OpName: "hash", Entries: []HashEntry{{Buckets: 10, Input: "missing", Output: "h"}}}
+	if err := op2.Run(ws); err == nil || !strings.Contains(err.Error(), "missing") {
+		t.Errorf("missing input should error naming it: %v", err)
 	}
 }
 
@@ -232,19 +244,30 @@ func TestSLSOp(t *testing.T) {
 	copy(tab.Data, []float32{1, 1, 2, 2, 3, 3, 4, 4})
 	ws := NewWorkspace()
 	ws.SetBags("f", []embedding.Bag{{Indices: []int32{0, 3}}, {Indices: []int32{2}}})
-	op := &SLSOp{OpName: "sls", Table: tab, InputBags: "f", Output: "pooled"}
+	ws.SetBags("g", []embedding.Bag{{}, {Indices: []int32{1, 1}}})
+	op := &MultiSLS{OpName: "sls", Entries: []SLSEntry{
+		{Table: tab, InputBags: "f", Output: "pooled_f"},
+		{Table: tab, InputBags: "g", Output: "pooled_g"},
+	}}
 	if err := op.Run(ws); err != nil {
 		t.Fatal(err)
 	}
-	m, _ := ws.Blob("pooled")
-	if m.Rows != 2 || m.Cols != 2 {
-		t.Fatalf("pooled shape %dx%d", m.Rows, m.Cols)
+	f, _ := ws.Blob("pooled_f")
+	if f.Rows != 2 || f.Cols != 2 {
+		t.Fatalf("pooled shape %dx%d", f.Rows, f.Cols)
 	}
-	if m.At(0, 0) != 5 || m.At(1, 0) != 3 {
-		t.Errorf("pooled = %v", m.Data)
+	if f.At(0, 0) != 5 || f.At(1, 0) != 3 {
+		t.Errorf("pooled_f = %v", f.Data)
+	}
+	if g, _ := ws.Blob("pooled_g"); g.At(0, 0) != 0 || g.At(1, 1) != 4 {
+		t.Errorf("pooled_g = %v (empty bag must pool to zeros)", g.Data)
 	}
 	if op.Kind() != KindSparse {
 		t.Error("SLS kind should be Sparse")
+	}
+	bad := &MultiSLS{OpName: "sls", Entries: []SLSEntry{{Table: tab, InputBags: "missing", Output: "x"}}}
+	if err := bad.Run(ws); err == nil || !strings.Contains(err.Error(), "missing") {
+		t.Errorf("missing bags should error naming them: %v", err)
 	}
 }
 
@@ -278,23 +301,6 @@ func TestInteraction(t *testing.T) {
 	}
 }
 
-func TestSplitBlob(t *testing.T) {
-	ws := NewWorkspace()
-	ws.SetBlob("x", tensor.FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6}))
-	op := &SplitBlob{OpName: "split", Input: "x", FromCol: 1, ToCol: 3, Output: "y"}
-	if err := op.Run(ws); err != nil {
-		t.Fatal(err)
-	}
-	m, _ := ws.Blob("y")
-	if m.Cols != 2 || m.At(0, 0) != 2 || m.At(1, 1) != 6 {
-		t.Errorf("split = %v", m.Data)
-	}
-	bad := &SplitBlob{OpName: "split", Input: "x", FromCol: 2, ToCol: 1, Output: "y"}
-	if err := bad.Run(ws); err == nil {
-		t.Error("bad range should error")
-	}
-}
-
 // recordingObserver captures scheduler callbacks for assertions.
 type recordingObserver struct {
 	ops      []string
@@ -316,7 +322,7 @@ func TestNetRunSequentialWithObserver(t *testing.T) {
 	ws := NewWorkspace()
 	ws.SetBlob("in", tensor.FromSlice(1, 2, []float32{1, 2}))
 	net := &Net{NetName: "n", Ops: []Op{
-		&FC{OpName: "fc1", W: tensor.FromSlice(2, 2, []float32{1, 0, 0, 1}), Input: "in", Output: "h"},
+		&FusedFC{OpName: "fc1", W: tensor.FromSlice(2, 2, []float32{1, 0, 0, 1}), Input: "in", Output: "h"},
 		&Activation{OpName: "relu", Func: ActReLU, Blob: "h"},
 	}}
 	obs := &recordingObserver{}
@@ -334,8 +340,8 @@ func TestNetRunSequentialWithObserver(t *testing.T) {
 func TestNetRunStopsOnError(t *testing.T) {
 	ws := NewWorkspace()
 	net := &Net{NetName: "n", Ops: []Op{
-		&FC{OpName: "fc1", W: tensor.New(2, 2), Input: "missing", Output: "h"},
-		&Fill{OpName: "fill", Rows: 1, Cols: 1, Output: "should-not-run"},
+		&FusedFC{OpName: "fc1", W: tensor.New(2, 2), Input: "missing", Output: "h"},
+		&ConcatOp{OpName: "cat", Output: "should-not-run"},
 	}}
 	if err := net.Run(ws, nil); err == nil {
 		t.Fatal("expected error")
@@ -374,7 +380,7 @@ func TestNetRunAsyncOpResolvedByConsumer(t *testing.T) {
 	ws := NewWorkspace()
 	net := &Net{NetName: "n", Ops: []Op{
 		&asyncOp{name: "rpc1", out: "remote", delay: time.Millisecond},
-		&FC{OpName: "fc", W: tensor.FromSlice(1, 1, []float32{2}), Input: "remote", Output: "out"},
+		&FusedFC{OpName: "fc", W: tensor.FromSlice(1, 1, []float32{2}), Input: "remote", Output: "out"},
 	}}
 	if err := net.Run(ws, nil); err != nil {
 		t.Fatal(err)
@@ -402,7 +408,7 @@ func TestNetRunDrainsAsyncOnSyncError(t *testing.T) {
 	ws := NewWorkspace()
 	net := &Net{NetName: "n", Ops: []Op{
 		&asyncOp{name: "rpc1", out: "remote", delay: 5 * time.Millisecond},
-		&FC{OpName: "fc", W: tensor.New(2, 2), Input: "missing", Output: "out"},
+		&FusedFC{OpName: "fc", W: tensor.New(2, 2), Input: "missing", Output: "out"},
 	}}
 	if err := net.Run(ws, nil); err == nil {
 		t.Fatal("expected error")

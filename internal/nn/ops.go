@@ -3,44 +3,8 @@ package nn
 import (
 	"fmt"
 
-	"repro/internal/embedding"
 	"repro/internal/tensor"
 )
-
-// FC is a fully-connected layer: Output = Input·W + B. The dense stacks of
-// the recommendation models (bottom MLP over dense features, top MLP over
-// interactions) are chains of FC + activation operators, and per Fig. 4
-// they dominate per-request compute.
-type FC struct {
-	OpName        string
-	W             *tensor.Matrix // In×Out
-	B             []float32      // len Out
-	Input, Output string
-}
-
-// Name implements Op.
-func (o *FC) Name() string { return o.OpName }
-
-// Kind implements Op.
-func (o *FC) Kind() OpKind { return KindDense }
-
-// Run implements Op.
-func (o *FC) Run(ws *Workspace) error {
-	in, err := ws.WaitBlob(o.Input)
-	if err != nil {
-		return fmt.Errorf("%s: %w", o.OpName, err)
-	}
-	if in.Cols != o.W.Rows {
-		return fmt.Errorf("%s: input cols %d != weight rows %d", o.OpName, in.Cols, o.W.Rows)
-	}
-	out := ws.AllocBlob(o.Output, in.Rows, o.W.Cols)
-	tensor.MatMul(out, in, o.W)
-	if o.B != nil {
-		tensor.AddBiasRows(out, o.B)
-	}
-	ws.SetBlob(o.Output, out)
-	return nil
-}
 
 // ActivationFunc selects the nonlinearity applied by an Activation op or
 // fused into a FusedFC.
@@ -74,10 +38,13 @@ func applyAct(f ActivationFunc, xs []float32) error {
 // FusedFC is a fully-connected layer with the bias addition and
 // activation fused into the GEMM epilogue: Output = act(Input·W + B),
 // computed tile by tile inside the parallel GEMM workers with no extra
-// pass over the output and no intermediate blob. Results are bitwise
-// identical to the FC → Activation pair it replaces (the epilogue applies
-// the same elementwise ops to each finished row). Output storage draws
-// from the workspace arena when scheduled.
+// pass over the output and no intermediate blob. The dense stacks of the
+// recommendation models (bottom MLP over dense features, top MLP over
+// interactions) are chains of these layers, and per Fig. 4 they dominate
+// per-request compute. Results are bitwise identical to a GEMM followed
+// by a separate bias pass and activation pass (the epilogue applies the
+// same elementwise ops to each finished row). Output storage draws from
+// the workspace arena when scheduled.
 type FusedFC struct {
 	OpName        string
 	W             *tensor.Matrix // In×Out
@@ -182,110 +149,6 @@ func (o *ScaleClip) Run(ws *Workspace) error {
 	return nil
 }
 
-// HashBags transforms raw sparse-feature IDs into embedding-table indices
-// by hashing them into [0, Buckets) — the "sparse inputs are transformed
-// into a list of access IDs, or hash indices" step of Section II-1 and the
-// "Hash" group of Fig. 4.
-type HashBags struct {
-	OpName        string
-	Buckets       int32
-	Input, Output string
-}
-
-// Name implements Op.
-func (o *HashBags) Name() string { return o.OpName }
-
-// Kind implements Op.
-func (o *HashBags) Kind() OpKind { return KindHash }
-
-// Run implements Op.
-func (o *HashBags) Run(ws *Workspace) error {
-	in, err := ws.Bags(o.Input)
-	if err != nil {
-		return fmt.Errorf("%s: %w", o.OpName, err)
-	}
-	if o.Buckets <= 0 {
-		return fmt.Errorf("%s: buckets %d <= 0", o.OpName, o.Buckets)
-	}
-	out := make([]embedding.Bag, len(in))
-	for b, bag := range in {
-		out[b].Indices = make([]int32, len(bag.Indices))
-		for i, id := range bag.Indices {
-			out[b].Indices[i] = hash32(id) % o.Buckets
-		}
-	}
-	ws.SetBags(o.Output, out)
-	return nil
-}
-
-// hash32 is a Murmur-style finalizer: cheap, deterministic, well mixed.
-func hash32(x int32) int32 {
-	h := uint32(x)
-	h ^= h >> 16
-	h *= 0x85ebca6b
-	h ^= h >> 13
-	h *= 0xc2b2ae35
-	h ^= h >> 16
-	return int32(h & 0x7fffffff)
-}
-
-// Fill creates a constant-valued blob, mirroring Caffe2's *Fill operators
-// (Fig. 4's "Fill" group) used to materialize defaults for absent features.
-type Fill struct {
-	OpName     string
-	Rows, Cols int
-	Value      float32
-	Output     string
-}
-
-// Name implements Op.
-func (o *Fill) Name() string { return o.OpName }
-
-// Kind implements Op.
-func (o *Fill) Kind() OpKind { return KindFill }
-
-// Run implements Op.
-func (o *Fill) Run(ws *Workspace) error {
-	m := tensor.New(o.Rows, o.Cols)
-	if o.Value != 0 {
-		for i := range m.Data {
-			m.Data[i] = o.Value
-		}
-	}
-	ws.SetBlob(o.Output, m)
-	return nil
-}
-
-// SLSOp executes SparseLengthsSum: pooled embedding lookup of one sparse
-// feature against one table. In the singular model these ops run in-line
-// on the main shard; sharding moves them to sparse shards behind RPC ops.
-type SLSOp struct {
-	OpName string
-	Table  embedding.Table
-	// InputBags names the hashed index bags; Output receives a
-	// len(bags)×dim pooled matrix.
-	InputBags, Output string
-}
-
-// Name implements Op.
-func (o *SLSOp) Name() string { return o.OpName }
-
-// Kind implements Op.
-func (o *SLSOp) Kind() OpKind { return KindSparse }
-
-// Run implements Op.
-func (o *SLSOp) Run(ws *Workspace) error {
-	bags, err := ws.Bags(o.InputBags)
-	if err != nil {
-		return fmt.Errorf("%s: %w", o.OpName, err)
-	}
-	dim := o.Table.Dim()
-	out := tensor.New(len(bags), dim)
-	embedding.SLS(out.Data, o.Table, bags)
-	ws.SetBlob(o.Output, out)
-	return nil
-}
-
 // ConcatOp concatenates blobs horizontally into Output (Fig. 4's "Memory
 // Transformations" group).
 type ConcatOp struct {
@@ -369,38 +232,6 @@ func (o *Interaction) Run(ws *Workspace) error {
 		row := out.Row(r)
 		copy(row[:pass.Cols], pass.Row(r))
 		tensor.PairwiseDotRow(row[pass.Cols:], feats, r)
-	}
-	ws.SetBlob(o.Output, out)
-	return nil
-}
-
-// SplitBlob slices a blob's columns into Output, modeling tensor reshape
-// and split traffic ("Memory Transformations").
-type SplitBlob struct {
-	OpName         string
-	Input          string
-	FromCol, ToCol int
-	Output         string
-}
-
-// Name implements Op.
-func (o *SplitBlob) Name() string { return o.OpName }
-
-// Kind implements Op.
-func (o *SplitBlob) Kind() OpKind { return KindMemoryTransform }
-
-// Run implements Op.
-func (o *SplitBlob) Run(ws *Workspace) error {
-	in, err := ws.WaitBlob(o.Input)
-	if err != nil {
-		return fmt.Errorf("%s: %w", o.OpName, err)
-	}
-	if o.FromCol < 0 || o.ToCol > in.Cols || o.FromCol >= o.ToCol {
-		return fmt.Errorf("%s: bad column range [%d, %d) for %d cols", o.OpName, o.FromCol, o.ToCol, in.Cols)
-	}
-	out := ws.AllocBlob(o.Output, in.Rows, o.ToCol-o.FromCol)
-	for r := 0; r < in.Rows; r++ {
-		copy(out.Row(r), in.Row(r)[o.FromCol:o.ToCol])
 	}
 	ws.SetBlob(o.Output, out)
 	return nil

@@ -15,7 +15,7 @@ type SLSEntry struct {
 }
 
 // MultiSLS executes SparseLengthsSum for a group of tables in one
-// operator. The work is identical to a sequence of SLSOp instances (the
+// operator. The work is identical to one embedding.SLS per table (the
 // tables still pool sequentially, as Caffe2 schedules them), but the
 // group records a single trace span, keeping span volume proportional to
 // operator *groups* rather than the 257 tables of DRM1. The singular
@@ -50,7 +50,9 @@ func (o *MultiSLS) Run(ws *Workspace) error {
 
 // HashAllBags hashes a group of raw-ID bag inputs into table-bucket
 // index bags, one table per entry, in a single fused operator (same
-// span-volume rationale as MultiSLS).
+// span-volume rationale as MultiSLS). It is the "sparse inputs are
+// transformed into a list of access IDs, or hash indices" step of
+// Section II-1 and the "Hash" group of Fig. 4.
 type HashAllBags struct {
 	OpName  string
 	Entries []HashEntry
@@ -101,4 +103,15 @@ func (o *HashAllBags) Run(ws *Workspace) error {
 		ws.SetBags(e.Output, out)
 	}
 	return nil
+}
+
+// hash32 is a Murmur-style finalizer: cheap, deterministic, well mixed.
+func hash32(x int32) int32 {
+	h := uint32(x)
+	h ^= h >> 16
+	h *= 0x85ebca6b
+	h ^= h >> 13
+	h *= 0xc2b2ae35
+	h ^= h >> 16
+	return int32(h & 0x7fffffff)
 }
